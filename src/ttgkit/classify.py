@@ -7,7 +7,6 @@ fixed method note saying so.
 """
 
 import random
-import time
 
 from .complexes import (
     PerfectComplex,
@@ -26,7 +25,7 @@ from .complexes import (
     tensor,
     unit_complex,
 )
-from .errors import InputError
+from .errors import InputError, TtgError
 from .modules import generic_rank, is_zero_localized, local_shift_multiset
 from .serialize import canonical_json, render_table
 from .spectrum import (
@@ -80,7 +79,7 @@ class Catalogue:
         """
         if module.is_zero():
             return False
-        return not module_supported_primes(module, self.primes)
+        return all(is_zero_localized(module, p) for p in self.primes)
 
 
 def in_thick(catalogue: Catalogue, target: PerfectComplex, generators) -> bool:
@@ -129,14 +128,13 @@ def classify_catalogue(catalogue: Catalogue) -> dict:
 
 
 class SuiteReport:
-    """Deterministic per-instance results; wall time is kept out of serialization."""
+    """Deterministic per-instance results of one suite run."""
 
-    def __init__(self, suite, seed, n, instances, wall_ms=0):
+    def __init__(self, suite, seed, n, instances):
         self.suite = suite
         self.seed = seed
         self.n = n
         self.instances = instances
-        self.wall_ms = wall_ms
 
     @property
     def passed(self) -> int:
@@ -196,7 +194,7 @@ def _suite_residue_cohomology(catalogue, seed, n):
             ok = ann_ok and rank_ok
             if not ok:
                 witness = {"prime": p.name, "annihilator_ok": ann_ok, "rank_ok": rank_ok}
-        except Exception as err:  # certificate failures are the reportable outcome
+        except TtgError as err:  # certificate failures are the reportable outcome
             ok = False
             witness = {"prime": p.name, "error": str(err)}
         instances.append({"index": index, "ok": ok, "witness": witness})
@@ -446,7 +444,4 @@ SUITES = {
 def run_suite(catalogue: Catalogue, name: str, seed: int, n: int) -> SuiteReport:
     if name not in SUITES:
         raise InputError(f"unknown suite {name!r}; available: {', '.join(sorted(SUITES))}")
-    start = time.monotonic()
-    instances = SUITES[name](catalogue, seed, n)
-    wall_ms = int((time.monotonic() - start) * 1000)
-    return SuiteReport(name, seed, n, instances, wall_ms)
+    return SuiteReport(name, seed, n, SUITES[name](catalogue, seed, n))

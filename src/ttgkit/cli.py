@@ -68,7 +68,11 @@ def parse_workspace(path: str) -> Workspace:
         name = _expect(v, "name", str, f"{path}:ring.vars[{i}]")
         degree = _expect(v, "degree", int, f"{path}:ring.vars[{i}]")
         variables.append((name, degree))
-    ring = GradedRing(Field(char), tuple(variables))
+    try:
+        field = Field(char)
+    except InputError as err:
+        raise InputError(f"{path}:ring.char: {err}") from None
+    ring = GradedRing(field, tuple(variables))
 
     def parse_poly(text, where):
         if not isinstance(text, str):

@@ -18,7 +18,7 @@ own cone satisfies D*H + H*D = -G exactly; see action_null_homotopy.
 import random
 from functools import lru_cache
 
-from .errors import HomogeneityError, InputError
+from .errors import HomogeneityError, InputError, InternalError
 from .groebner import FreeContext, syzygy_module
 from .modules import GradedDimensionTable, GradedModule
 from .rings import GradedRing, Polynomial
@@ -349,7 +349,7 @@ def cohomology(complex_: PerfectComplex) -> GradedModule:
             continue
         remainder, coeffs = lift.divide(vec)
         if remainder:
-            raise AssertionError("image vector failed to lift into the kernel")
+            raise InternalError("image vector failed to lift into the kernel")
         col = {}
         for (alpha, expt), c in coeffs.items():
             col.setdefault(alpha, {})[expt] = c

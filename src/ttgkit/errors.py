@@ -15,3 +15,7 @@ class HomogeneityError(InputError):
 
 class CertificateError(TtgError):
     """A prime-point certificate (regular sequence, local generation) failed."""
+
+
+class InternalError(TtgError):
+    """An invariant the algorithms guarantee failed to hold: a bug, not bad input."""

@@ -1,9 +1,13 @@
 """Finitely presented graded modules: annihilators, Hilbert data, local tests.
 
 Localization at a prime is never materialized: every p-local statement is
-reduced to an ideal containment, a generic rank over the quotient domain, or
-a Hilbert-function comparison.  That reduction is valid because all modules
-produced here are finitely generated.
+reduced to a rank over the fraction field Frac(R/p) of the quotient domain,
+or to a Hilbert-function comparison.  Vanishing at p is decided by
+Nakayama's lemma, as full rank of the relation matrix reduced mod p.  The
+annihilator (the meet of the generator transporters) decides the same
+question by ideal containment; it is kept as the independent referee of the
+rank route.  Both reductions are valid because all modules produced here are
+finitely generated.
 """
 
 from dataclasses import dataclass
@@ -48,8 +52,7 @@ class GradedModule:
     dropping zero and duplicate relation columns.
     """
 
-    __slots__ = ("ring", "gens", "relations", "_rel_basis", "_annihilator",
-                 "_transporters", "_hash")
+    __slots__ = ("ring", "gens", "relations", "_rel_basis", "_annihilator", "_hash")
 
     def __init__(self, ring: GradedRing, gens, relations=()):
         self.ring = ring
@@ -84,7 +87,6 @@ class GradedModule:
         self.relations = tuple(cols)
         self._rel_basis = None
         self._annihilator = None
-        self._transporters = None
         self._hash = None
 
     # -- presentation plumbing ------------------------------------------------
@@ -133,12 +135,8 @@ class GradedModule:
         return all(basis.contains({(i, zero_expt): one}) for i in range(len(self.gens)))
 
     def transporters(self):
-        """(relations : e_i) for each generator, cached; Ann M is their meet."""
-        if self._transporters is None:
-            self._transporters = tuple(
-                self._transporter(i) for i in range(len(self.gens))
-            )
-        return self._transporters
+        """(relations : e_i) for each generator; Ann M is their meet."""
+        return tuple(self._transporter(i) for i in range(len(self.gens)))
 
     def annihilator(self) -> HomIdeal:
         """Ann M, intersected over the transporters of the generators."""
@@ -222,18 +220,18 @@ def shift_module(module: GradedModule, k: int) -> GradedModule:
 
 
 def is_zero_localized(module: GradedModule, prime) -> bool:
-    """True iff the localization at the prime vanishes.
+    """True iff the localization M_p vanishes.
 
-    For finitely generated M the criterion is Ann M contained in p.  Since p
-    is prime, the intersection of the generator transporters lies in p
-    exactly when one of them does, so the (cached) transporters decide the
-    containment without computing the intersection.
+    For finitely generated M, Nakayama's lemma over the local ring R_p gives
+    M_p = 0 iff M (x) k(p) = 0, where k(p) = Frac(R/p).  That tensor is the
+    cokernel of the relation matrix reduced mod p, so it vanishes exactly
+    when the reduced matrix has rank len(gens) over Frac(R/p).  No
+    annihilation by p is assumed.  The annihilator route (Ann M contained in
+    p, see `spectrum.module_supported_primes`) is the independent referee.
     """
-    if not module.gens:
-        return True
-    return not any(
-        prime.ideal.contains_ideal(t) for t in module.transporters()
-    )
+    if len(module.relations) < len(module.gens):
+        return False
+    return len(_pivot_columns(module, prime)) == len(module.gens)
 
 
 def _require_annihilated(module: GradedModule, prime) -> None:

@@ -1,8 +1,11 @@
 """Certified homogeneous primes, residue-field objects, and supports.
 
 Spec R is never enumerated: every support statement is relative to a declared
-catalogue of primes, and p-local assertions are decided by ideal containment
-or generic rank after algebraic localization of cohomology.
+catalogue of primes.  A p-local vanishing statement is decided by Nakayama's
+lemma, as full rank of the cohomology's relation matrix over Frac(R/p)
+(`modules.is_zero_localized`).  The annihilator route, Ann M contained in p
+(`module_supported_primes`), answers the same question independently and is
+kept as the referee of the rank route.
 """
 
 from .complexes import PerfectComplex, cohomology, koszul_object, tensor, unit_complex
@@ -241,7 +244,11 @@ def _universe_token(primes):
 
 
 def module_supported_primes(module: GradedModule, primes):
-    """Raw pointwise support: catalogue primes where the localization is nonzero."""
+    """Raw pointwise support: catalogue primes where the localization is nonzero.
+
+    Decided by Ann M contained in p, independently of the rank test in
+    `is_zero_localized`; the supp-agreement suite compares the two routes.
+    """
     annihilator = module.annihilator()
     return [p for p in primes if p.ideal.contains_ideal(annihilator)]
 
@@ -255,7 +262,10 @@ def residue_supported_primes(complex_: PerfectComplex, primes):
     """Raw pointwise support through residue objects.
 
     Membership at p is decided after localization: the cohomology of the
-    tensor with K(p) survives at p exactly when its annihilator lies in p.
+    tensor with K(p) survives at p exactly when, by Nakayama's lemma, its
+    relation matrix reduced mod p has less than full rank over Frac(R/p).
+    `module_supported_primes` on the plain cohomology is the annihilator
+    referee of this route.
     """
     members = []
     for p in primes:

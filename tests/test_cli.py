@@ -65,6 +65,16 @@ def test_parse_rejects_degree_mismatch(tmp_path):
         parse_workspace(str(path))
 
 
+def test_parse_locates_characteristic_error(tmp_path):
+    path = tmp_path / "char.json"
+    path.write_text(json.dumps({
+        "ring": {"char": 2**100, "vars": [{"name": "x", "degree": 2}]},
+        "primes": [], "complexes": [],
+    }))
+    with pytest.raises(InputError, match=r"ring\.char: .*supported cap"):
+        parse_workspace(str(path))
+
+
 def test_parse_locates_json_error(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"ring": [,]}')

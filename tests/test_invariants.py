@@ -3,12 +3,15 @@
 import pathlib
 import random
 
+import pytest
+
 from oracles import ExactSpan, hilbert_oracle, membership_oracle, poly_vector
 from ttgkit import HomIdeal, ideal_quotient
 from ttgkit.cli import main
 from ttgkit.classify import in_thick
-from ttgkit.complexes import cohomology, random_homogeneous, tensor
+from ttgkit.complexes import cohomology, random_homogeneous, random_perfect_complex, tensor
 from ttgkit.modules import direct_sum_modules, is_zero_localized, quotient_module
+from ttgkit.spectrum import residue_field_object
 
 GOLDEN = pathlib.Path(__file__).parent.parent / "fixtures" / "golden"
 
@@ -71,6 +74,28 @@ def test_supp_additivity_over_direct_sums(catalogue_q):
                 assert is_zero_localized(both, p) == (
                     is_zero_localized(m, p) and is_zero_localized(n, p)
                 )
+
+
+@pytest.mark.parametrize("catalogue_name", ["catalogue_q", "catalogue_f5"])
+def test_localization_rank_matches_annihilator_referee(request, catalogue_name):
+    """The Nakayama rank test agrees with Ann M contained in p, prime by prime."""
+    cat = request.getfixturevalue(catalogue_name)
+    rng = random.Random(2311)
+    outcomes = set()
+
+    def check(module):
+        annihilator = module.annihilator()
+        for p in cat.primes:
+            zero = is_zero_localized(module, p)
+            assert zero == (not p.ideal.contains_ideal(annihilator)), (p.name, module)
+            outcomes.add(zero)
+
+    for _ in range(20):
+        x = random_perfect_complex(cat.ring, rng.randrange(2**30), max_gens=6, steps=3)
+        check(cohomology(x))
+        for p in cat.primes:
+            check(cohomology(tensor(x, residue_field_object(p).complex)))
+    assert outcomes == {True, False}
 
 
 def test_hilbert_oracle_on_catalogue_modules(catalogue_q):

@@ -26,6 +26,7 @@ def setup(ring_q):
         "p0": PrimePoint.create(ring_q, "p0", [], []),
         "px": PrimePoint.create(ring_q, "px", [x], [x]),
         "py": PrimePoint.create(ring_q, "py", [y], [y]),
+        "pd": PrimePoint.create(ring_q, "pd", [x - y], [x - y]),
         "pmax": PrimePoint.create(ring_q, "pmax", [x, y], [x, y]),
     }
     return ring_q, x, y, primes
@@ -113,6 +114,31 @@ def test_is_zero_localized(setup):
     mxy = quotient_module(ring, HomIdeal(ring, [x * y]))
     assert is_zero_localized(mxy, primes["px"]) is False
     assert is_zero_localized(GradedModule(ring, ()), primes["p0"]) is True
+
+
+def test_is_zero_localized_rank_cases_match_annihilator(setup):
+    ring, x, y, primes = setup
+
+    def check(module, name, expected):
+        p = primes[name]
+        assert is_zero_localized(module, p) is expected, (module, name)
+        assert expected == (not p.ideal.contains_ideal(module.annihilator()))
+
+    # At (0) the rank is taken over Frac(R) itself.
+    check(quotient_module(ring, HomIdeal(ring, [x])), "p0", True)
+    check(free_module(ring, (0,)), "p0", False)
+    # R^2/(x(e0-e1), y(e0-e1)) is nonzero everywhere: its reduced matrix has
+    # rank one, although at (0) and (x-y) no relation column vanishes mod p.
+    diagonal = GradedModule(ring, (0, 0), [{0: x, 1: -x}, {0: y, 1: -y}])
+    for name in ("p0", "px", "pd", "pmax"):
+        check(diagonal, name, False)
+    # More relations than generators, zero at (y) and nonzero at (x).
+    tall = GradedModule(ring, (0, 0), [{0: x}, {1: x}, {0: y, 1: y}])
+    check(tall, "py", True)
+    check(tall, "pd", True)
+    check(tall, "px", False)
+    # Fewer relations than generators can never vanish.
+    check(GradedModule(ring, (0, 0), [{0: x}]), "py", False)
 
 
 def test_supp_specialization_closure(setup):

@@ -1,7 +1,9 @@
+import time
+
 import pytest
 
 from ttgkit import GradedRing, InputError, Polynomial
-from ttgkit.fields import Field
+from ttgkit.fields import MAX_CHARACTERISTIC, Field, _is_prime
 from ttgkit.rings import clear_denominators, format_polynomial
 
 
@@ -18,6 +20,40 @@ def test_ring_rejects_duplicate_names():
 def test_field_rejects_composite_characteristic():
     with pytest.raises(InputError):
         Field(6)
+
+
+def _trial_division_is_prime(n):
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def test_primality_agrees_with_trial_division_below_ten_thousand():
+    for n in range(10**4):
+        assert _is_prime(n) == _trial_division_is_prime(n), n
+
+
+def test_field_rejects_carmichael_and_strong_pseudoprimes():
+    # 561 is Carmichael; 3215031751 is a strong pseudoprime to bases 2, 3, 5, 7.
+    for n in (561, 3215031751):
+        with pytest.raises(InputError, match="not prime"):
+            Field(n)
+
+
+def test_large_prime_characteristic_is_fast():
+    start = time.perf_counter()
+    Field(2**61 - 1)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_characteristic_above_cap_is_rejected():
+    with pytest.raises(InputError, match="supported cap"):
+        Field(MAX_CHARACTERISTIC)
 
 
 def test_prime_field_symmetric_representatives():
