@@ -72,7 +72,10 @@ def parse_workspace(path: str) -> Workspace:
         field = Field(char)
     except InputError as err:
         raise InputError(f"{path}:ring.char: {err}") from None
-    ring = GradedRing(field, tuple(variables))
+    try:
+        ring = GradedRing(field, tuple(variables))
+    except InputError as err:
+        raise InputError(f"{path}:ring.vars: {err}") from None
 
     def parse_poly(text, where):
         if not isinstance(text, str):

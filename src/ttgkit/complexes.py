@@ -366,15 +366,7 @@ def cohomology_table(complex_: PerfectComplex, lo=None, hi=None) -> GradedDimens
 
 def acts_as_zero_on_cohomology(f: Polynomial, complex_: PerfectComplex) -> bool:
     """True iff the central action of f induces zero on every cohomology class."""
-    module = cohomology(complex_)
-    if f.is_zero() or not module.gens:
-        return True
-    basis = module.rel_basis()
-    for alpha in range(len(module.gens)):
-        vec = {(alpha, expt): c for expt, c in f.terms.items()}
-        if not basis.contains(vec):
-            return False
-    return True
+    return cohomology(complex_).unkilled_generator(f) is None
 
 
 def action_null_homotopy(f: Polynomial) -> Homotopy:

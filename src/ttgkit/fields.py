@@ -58,10 +58,6 @@ class Field:
         if c != 0 and not _is_prime(c):
             raise InputError(f"characteristic {c} is not prime")
 
-    @property
-    def kind(self) -> str:
-        return "rationals" if self.characteristic == 0 else "prime field"
-
     def coerce(self, value):
         """Normalize an int/Fraction into this field's canonical form."""
         if self.characteristic == 0:
@@ -108,6 +104,3 @@ class Field:
 
     def div(self, a, b):
         return a / b if self.characteristic == 0 else self.mul(a, self.inv(b))
-
-    def coeff_str(self, a) -> str:
-        return str(a)

@@ -320,52 +320,19 @@ class LiftBasis:
         """vec = remainder + sum_i coeffs[i] * rows[i]; returns (remainder, coeffs).
 
         Remainder and coeffs are sparse vectors; coeffs is keyed by row index.
-        Only leading-block terms are reduced; tag terms accumulate the lift.
+        Every span element leads in the leading block, so no lead divides a
+        tag term: the normal form reduces only leading-block terms, and the
+        tag terms it accumulates are minus the lift.
         """
         field = self.ctx.ring.field
-        neg = self.ctx.term_key_neg
-        ncols = self.ncols
-        work = dict(vec)
-        out = {}
-        tags = {}
-        heap = [(neg(k), k) for k in work]
-        heapq.heapify(heap)
-        while heap:
-            _, key = heapq.heappop(heap)
-            coeff = work.get(key)
-            if coeff is None:
-                continue
-            hit = self._index.find(key)
-            if hit is None:
-                out[key] = work.pop(key)
-                continue
-            gexpt, gcoeff, gvec = hit
-            _, expt = key
-            shift = tuple(a - b for a, b in zip(expt, gexpt))
-            factor = field.neg(field.div(coeff, gcoeff))
-            for (pos, e2), c2 in gvec.items():
-                k2 = (pos, tuple(a + b for a, b in zip(shift, e2)))
-                if pos < ncols:
-                    cur = work.get(k2)
-                    if cur is None:
-                        val = field.mul(factor, c2)
-                        if val != 0:
-                            work[k2] = val
-                            heapq.heappush(heap, (neg(k2), k2))
-                    else:
-                        s = field.add(cur, field.mul(factor, c2))
-                        if s == 0:
-                            del work[k2]
-                        else:
-                            work[k2] = s
-                else:
-                    s = field.add(tags.get(k2, field.zero), field.mul(factor, c2))
-                    if s == 0:
-                        tags.pop(k2, None)
-                    else:
-                        tags[k2] = s
-        coeffs = {(pos - ncols, expt): field.neg(c) for (pos, expt), c in tags.items()}
-        return out, coeffs
+        remainder = {}
+        coeffs = {}
+        for (pos, expt), c in normal_form_vec(vec, self._index, self.ctx).items():
+            if pos < self.ncols:
+                remainder[(pos, expt)] = c
+            else:
+                coeffs[(pos - self.ncols, expt)] = field.neg(c)
+        return remainder, coeffs
 
 
 # --- polynomials and ideals --------------------------------------------------
@@ -450,19 +417,6 @@ class HomIdeal:
     def __repr__(self):
         inner = ", ".join(str(g) for g in self.generators)
         return f"({inner})" if inner else "(0)"
-
-
-def normal_form(f: Polynomial, ideal: HomIdeal) -> Polynomial:
-    return ideal.normal_form(f)
-
-
-def groebner_basis(ideal: HomIdeal):
-    return ideal.basis_polynomials()
-
-
-def ideal_contains(outer: HomIdeal, inner: HomIdeal) -> bool:
-    """True iff inner is a subset of outer (every generator reduces to zero)."""
-    return outer.contains_ideal(inner)
 
 
 def ideal_quotient(ideal: HomIdeal, f: Polynomial) -> HomIdeal:

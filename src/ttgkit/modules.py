@@ -1,13 +1,12 @@
 """Finitely presented graded modules: annihilators, Hilbert data, local tests.
 
 Localization at a prime is never materialized: every p-local statement is
-reduced to a rank over the fraction field Frac(R/p) of the quotient domain,
-or to a Hilbert-function comparison.  Vanishing at p is decided by
-Nakayama's lemma, as full rank of the relation matrix reduced mod p.  The
-annihilator (the meet of the generator transporters) decides the same
-question by ideal containment; it is kept as the independent referee of the
-rank route.  Both reductions are valid because all modules produced here are
-finitely generated.
+reduced to a rank over the fraction field Frac(R/p) of the quotient domain.
+Vanishing at p is decided by Nakayama's lemma, as full rank of the relation
+matrix reduced mod p.  The annihilator (the meet of the generator
+transporters) decides the same question by ideal containment; it is kept as
+the independent referee of the rank route.  Both reductions are valid
+because all modules produced here are finitely generated.
 """
 
 from dataclasses import dataclass
@@ -18,9 +17,7 @@ from .groebner import (
     HomIdeal,
     SubmoduleBasis,
     ideal_intersection,
-    poly_to_vec,
     syzygy_module,
-    vec_component,
 )
 from .rings import GradedRing, Polynomial
 
@@ -127,12 +124,20 @@ class GradedModule:
     # -- queries ---------------------------------------------------------------
 
     def is_zero(self) -> bool:
+        return self.unkilled_generator(self.ring.one()) is None
+
+    def unkilled_generator(self, f: Polynomial):
+        """Index of the first generator e_i with f * e_i outside the relation span.
+
+        None when f kills every generator, that is when f annihilates M.
+        """
         if not self.gens:
-            return True
+            return None
         basis = self.rel_basis()
-        zero_expt = (0,) * self.ring.nvars
-        one = self.ring.field.one
-        return all(basis.contains({(i, zero_expt): one}) for i in range(len(self.gens)))
+        for i in range(len(self.gens)):
+            if not basis.contains({(i, expt): c for expt, c in f.terms.items()}):
+                return i
+        return None
 
     def transporters(self):
         """(relations : e_i) for each generator; Ann M is their meet."""
@@ -235,15 +240,13 @@ def is_zero_localized(module: GradedModule, prime) -> bool:
 
 
 def _require_annihilated(module: GradedModule, prime) -> None:
-    basis = module.rel_basis()
     for g in prime.ideal.generators:
-        for i in range(len(module.gens)):
-            vec = {(i, expt): c for expt, c in g.terms.items()}
-            if not basis.contains(vec):
-                raise InputError(
-                    f"module is not annihilated by {prime.name}: generator {g} "
-                    f"does not kill module generator {i}"
-                )
+        i = module.unkilled_generator(g)
+        if i is not None:
+            raise InputError(
+                f"module is not annihilated by {prime.name}: generator {g} "
+                f"does not kill module generator {i}"
+            )
 
 
 def _relations_mod_prime(module: GradedModule, prime):
@@ -320,51 +323,3 @@ def local_shift_multiset(module: GradedModule, prime):
     pivots = set(_pivot_columns(module, prime))
     return sorted(module.gens[i] for i in range(len(module.gens)) if i not in pivots)
 
-
-def quotient_hilbert(prime, degree: int) -> int:
-    """Hilbert dimension of R/p in one degree, from standard monomials."""
-    basis = prime.ideal.groebner_basis()
-    return basis.standard_monomial_count(degree)
-
-
-def is_graded_free_over_quotient(module: GradedModule, prime):
-    """Shift multiset if the module is graded-free over R/p, else None.
-
-    Decided by greedy division of Hilbert functions over a finite window
-    [min generator degree, max(generator, relation degree) + 2*max weight]
-    (a Castelnuovo-style margin past the last presentation degree, validated
-    against the brute-force oracle in the tests), together with agreement of
-    the candidate count with the generic rank.  The window comparison is a
-    heuristic surrogate for freeness; it is exact on every module whose
-    disagreement with a free module shows inside the window.
-    """
-    _require_annihilated(module, prime)
-    if module.is_zero():
-        return []
-    lo = min(module.gens)
-    rel_degrees = module.relation_degrees()
-    hi = max([max(module.gens)] + rel_degrees) + 2 * module.ring.max_weight
-    width = hi - lo + 1
-    residual = [module.hilbert_dimension(d) for d in range(lo, hi + 1)]
-    quotient_dims = [quotient_hilbert(prime, d) for d in range(0, width)]
-    gens_at = {}
-    for d in module.gens:
-        gens_at[d] = gens_at.get(d, 0) + 1
-    shifts = []
-    for offset in range(width):
-        c = residual[offset]
-        if c < 0:
-            return None
-        if c == 0:
-            continue
-        degree = lo + offset
-        if c > gens_at.get(degree, 0):
-            return None
-        shifts.extend([degree] * c)
-        for k in range(offset, width):
-            residual[k] -= c * quotient_dims[k - offset]
-    if any(residual):
-        return None
-    if len(shifts) != generic_rank(module, prime):
-        return None
-    return sorted(shifts)

@@ -28,7 +28,11 @@ class GradedRing:
         for name, weight in self.variables:
             if not _IDENT.fullmatch(name):
                 raise InputError(f"bad variable name {name!r}")
-            if weight <= 0 or weight % 2 != 0:
+            if weight <= 0:
+                raise InputError(
+                    f"nonpositive weight unsupported: variable {name} has weight {weight}"
+                )
+            if weight % 2 != 0:
                 raise InputError(f"odd weight unsupported: variable {name} has weight {weight}")
         object.__setattr__(self, "variables", tuple((n, int(w)) for n, w in self.variables))
         object.__setattr__(self, "_names", tuple(n for n, _ in self.variables))

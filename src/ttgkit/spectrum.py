@@ -161,15 +161,12 @@ def residue_field_object(prime: PrimePoint, ring: GradedRing = None) -> ResidueF
     ring = ring or prime.ideal.ring
     complex_ = koszul_object(unit_complex(ring), prime.sequence)
     module = cohomology(complex_)
-    basis = module.rel_basis()
     for g in prime.ideal.generators:
-        for i in range(len(module.gens)):
-            vec = {(i, expt): c for expt, c in g.terms.items()}
-            if not basis.contains(vec):
-                raise CertificateError(
-                    f"prime {prime.name}: invalid certificate, {g} does not "
-                    f"annihilate the residue cohomology"
-                )
+        if module.unkilled_generator(g) is not None:
+            raise CertificateError(
+                f"prime {prime.name}: invalid certificate, {g} does not "
+                f"annihilate the residue cohomology"
+            )
     rank = generic_rank(module, prime)
     if rank != 1:
         raise CertificateError(

@@ -41,13 +41,20 @@ def test_round_trip(qxy_path, tmp_path):
 
 
 def test_parse_rejects_odd_weight(tmp_path):
-    path = tmp_path / "odd.json"
-    path.write_text(json.dumps({
-        "ring": {"char": 0, "vars": [{"name": "x", "degree": 3}]},
-        "primes": [], "complexes": [],
-    }))
-    with pytest.raises(InputError, match="odd weight"):
-        parse_workspace(str(path))
+    cases = [
+        ([{"name": "x", "degree": 3}], r"ring\.vars: odd weight"),
+        ([{"name": "x", "degree": 0}], r"ring\.vars: nonpositive weight"),
+        ([{"name": "x", "degree": 2}, {"name": "x", "degree": 2}],
+         r"ring\.vars: duplicate variable names"),
+    ]
+    for k, (variables, message) in enumerate(cases):
+        path = tmp_path / f"ring{k}.json"
+        path.write_text(json.dumps({
+            "ring": {"char": 0, "vars": variables},
+            "primes": [], "complexes": [],
+        }))
+        with pytest.raises(InputError, match=message):
+            parse_workspace(str(path))
 
 
 def test_parse_rejects_degree_mismatch(tmp_path):

@@ -7,23 +7,25 @@ from ttgkit import (
     GradedRing,
     HomIdeal,
     InputError,
-    groebner_basis,
-    ideal_contains,
     ideal_intersection,
     ideal_quotient,
     module_syzygies,
-    normal_form,
 )
 from ttgkit.complexes import random_homogeneous
 from ttgkit.fields import Field
-from ttgkit.groebner import FreeContext, poly_to_vec, syzygy_module
+from ttgkit.groebner import (
+    FreeContext,
+    SubmoduleBasis,
+    poly_to_vec,
+    syzygy_module,
+)
 
 
 def test_normal_form_examples(ring_q):
     x, y = ring_q.variable("x"), ring_q.variable("y")
-    assert normal_form(x * y, HomIdeal(ring_q, [x])).is_zero()
-    assert normal_form(ring_q.one(), HomIdeal(ring_q, [x])) == ring_q.one()
-    assert normal_form(x * x, HomIdeal(ring_q, [x - y, y * y])).is_zero()
+    assert HomIdeal(ring_q, [x]).normal_form(x * y).is_zero()
+    assert HomIdeal(ring_q, [x]).normal_form(ring_q.one()) == ring_q.one()
+    assert HomIdeal(ring_q, [x - y, y * y]).normal_form(x * x).is_zero()
 
 
 def test_normal_form_idempotent(ring_q):
@@ -32,22 +34,22 @@ def test_normal_form_idempotent(ring_q):
         f = random_homogeneous(ring_q, rng, max_degree=10)
         gens = [random_homogeneous(ring_q, rng, max_degree=6) for _ in range(2)]
         ideal = HomIdeal(ring_q, gens)
-        once = normal_form(f, ideal)
-        assert normal_form(once, ideal) == once
+        once = ideal.normal_form(f)
+        assert ideal.normal_form(once) == once
 
 
 def test_normal_form_ring_mismatch(ring_q, ring_f5):
     with pytest.raises(InputError):
-        normal_form(ring_f5.variable("x"), HomIdeal(ring_q, [ring_q.variable("x")]))
+        HomIdeal(ring_q, [ring_q.variable("x")]).normal_form(ring_f5.variable("x"))
 
 
 def test_groebner_examples(ring_q):
     x, y = ring_q.variable("x"), ring_q.variable("y")
-    assert set(map(str, groebner_basis(HomIdeal(ring_q, [x, y])))) == {"x", "y"}
-    assert set(map(str, groebner_basis(HomIdeal(ring_q, [x - y, y * y])))) == {
+    assert set(map(str, HomIdeal(ring_q, [x, y]).basis_polynomials())) == {"x", "y"}
+    assert set(map(str, HomIdeal(ring_q, [x - y, y * y]).basis_polynomials())) == {
         "x-y", "y^2"
     }
-    assert groebner_basis(HomIdeal(ring_q, [])) == ()
+    assert HomIdeal(ring_q, []).basis_polynomials() == ()
 
 
 def test_buchberger_criterion_spoly_reduction(ring_q):
@@ -55,7 +57,7 @@ def test_buchberger_criterion_spoly_reduction(ring_q):
     for _ in range(10):
         gens = [random_homogeneous(ring_q, rng, max_degree=8) for _ in range(2)]
         ideal = HomIdeal(ring_q, gens)
-        basis = groebner_basis(ideal)
+        basis = ideal.basis_polynomials()
         for i, g in enumerate(basis):
             for h in basis[:i]:
                 (eg, cg), (eh, ch) = g.lead(), h.lead()
@@ -72,15 +74,15 @@ def test_groebner_deterministic_and_cached(ring_q):
     x, y = ring_q.variable("x"), ring_q.variable("y")
     a = HomIdeal(ring_q, [x * x - y * y, x * y])
     b = HomIdeal(ring_q, [x * x - y * y, x * y])
-    assert [str(g) for g in groebner_basis(a)] == [str(g) for g in groebner_basis(b)]
+    assert [str(g) for g in a.basis_polynomials()] == [str(g) for g in b.basis_polynomials()]
     assert a.groebner_basis() is b.groebner_basis()  # memoized per ideal value
 
 
 def test_ideal_contains(ring_q):
     x, y = ring_q.variable("x"), ring_q.variable("y")
-    assert ideal_contains(HomIdeal(ring_q, [x, y]), HomIdeal(ring_q, [x]))
-    assert not ideal_contains(HomIdeal(ring_q, [x]), HomIdeal(ring_q, [x, y]))
-    assert ideal_contains(HomIdeal(ring_q, [x - y]), HomIdeal(ring_q, [x * x - y * y]))
+    assert HomIdeal(ring_q, [x, y]).contains_ideal(HomIdeal(ring_q, [x]))
+    assert not HomIdeal(ring_q, [x]).contains_ideal(HomIdeal(ring_q, [x, y]))
+    assert HomIdeal(ring_q, [x - y]).contains_ideal(HomIdeal(ring_q, [x * x - y * y]))
 
 
 def test_ideal_quotient_examples(ring_q):
@@ -212,3 +214,71 @@ def test_syzygy_dimensions_match_oracle(ring_q):
                 d,
             )
             assert span.rank == oracle_dim, (d, oracle_dim, span.rank)
+
+
+def _random_form(ring, rng, degree):
+    """A homogeneous polynomial of exactly this weighted degree, possibly zero."""
+    terms = {}
+    for expt in ring.monomials_of_weight(degree):
+        if rng.random() < 0.5:
+            terms[expt] = rng.choice([-2, -1, 1, 2, 3])
+    return ring.from_terms(terms)
+
+
+def _random_vector(ring, rng, col_degrees, degree):
+    vec = {}
+    for pos, d in enumerate(col_degrees):
+        vec.update(poly_to_vec(_random_form(ring, rng, degree - d), pos))
+    return vec
+
+
+def _combine(coeffs, rows, field):
+    """sum_i coeffs[i] * rows[i], computed term by term."""
+    total = {}
+    for (i, shift), c in coeffs.items():
+        for (pos, expt), c2 in rows[i].items():
+            key = (pos, tuple(a + b for a, b in zip(shift, expt)))
+            s = field.add(total.get(key, field.zero), field.mul(c, c2))
+            if s == 0:
+                total.pop(key, None)
+            else:
+                total[key] = s
+    return total
+
+
+@pytest.mark.parametrize("ring_name", ["ring_q", "ring_f5"])
+def test_lift_divide_matches_division_identity(ring_name, request):
+    ring = request.getfixturevalue(ring_name)
+    field = ring.field
+    rng = random.Random(31 if field.characteristic == 0 else 37)
+    col_degrees = (0, 2)
+    ctx = FreeContext(ring, col_degrees)
+    in_span = outside = 0
+    for _ in range(6):
+        row_degrees = [rng.choice([2, 4, 6]) for _ in range(rng.randint(2, 4))]
+        rows = [_random_vector(ring, rng, col_degrees, d) for d in row_degrees]
+        rows = [r for r in rows if r]
+        row_degrees = [d for d, r in zip(row_degrees, rows) if r]
+        _, lift = syzygy_module(rows, row_degrees, ctx)
+        span = SubmoduleBasis.generate(rows, ctx)
+        for degree in (6, 8):
+            factors = [_random_form(ring, rng, degree - d) for d in row_degrees]
+            member = _combine(
+                {(i, e): c for i, f in enumerate(factors) for e, c in f.terms.items()},
+                rows, field,
+            )
+            if member:
+                remainder, coeffs = lift.divide(member)
+                assert remainder == {}
+                assert _combine(coeffs, rows, field) == member
+                in_span += 1
+            vec = _random_vector(ring, rng, col_degrees, degree)
+            if vec and not span.contains(vec):
+                remainder, coeffs = lift.divide(vec)
+                assert remainder == span.normal_form(vec)
+                lifted = _combine(coeffs, rows, field)
+                for key, c in remainder.items():
+                    lifted[key] = field.add(lifted.get(key, field.zero), c)
+                assert {k: c for k, c in lifted.items() if c != 0} == vec
+                outside += 1
+    assert in_span >= 6 and outside >= 6
