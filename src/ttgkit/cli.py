@@ -19,6 +19,13 @@ from .rings import GradedRing
 from .serialize import canonical_json, render_text
 from .spectrum import PrimePoint, residue_field_object
 
+# Input budgets, checked before the algebra they bound; past them a command
+# exits 2.  The worst window on fixtures/f5xyz.json (`koszul kxyz z
+# --max-degree 400`) takes about 2.6 s and 66 MiB, and the slowest suite at
+# `--n 60` (minimality-surrogate, seeds 1-4) at most 5.4 s, on a 2-vCPU VM.
+MAX_N = 60              # --n: instances per randomized suite, from 1
+MAX_PROBE_DEGREE = 400  # --max-degree N probes [-N, N]; a default window must fit too
+
 
 @dataclass
 class Workspace:
@@ -141,15 +148,32 @@ def emit_report(payload, fmt: str) -> bytes:
     raise InputError(f"unknown format {fmt!r}")
 
 
-def _window(complex_: PerfectComplex, max_degree):
-    if max_degree is None:
-        return complex_.probe_window()
-    return (-max_degree, max_degree)
+def _check_budgets(args) -> None:
+    """Reject out-of-range numeric options before any workspace is read."""
+    if not 1 <= args.n <= MAX_N:
+        raise InputError(f"--n: {args.n} is outside the supported range [1, {MAX_N}]")
+    if args.max_degree is not None and not 0 <= args.max_degree <= MAX_PROBE_DEGREE:
+        raise InputError(
+            f"--max-degree: {args.max_degree} is outside the supported range "
+            f"[0, {MAX_PROBE_DEGREE}]"
+        )
 
 
-def _hilbert_payload(complex_, max_degree):
-    lo, hi = _window(complex_, max_degree)
-    return cohomology(complex_).dimension_table(lo, hi).to_json_dict()
+def _window(complex_: PerfectComplex, max_degree, label):
+    """The probed degree window; a default window must lie in the budget."""
+    if max_degree is not None:
+        return (-max_degree, max_degree)
+    lo, hi = complex_.probe_window()
+    if lo < -MAX_PROBE_DEGREE or hi > MAX_PROBE_DEGREE:
+        raise InputError(
+            f"{label}: probe window [{lo}, {hi}] exceeds [-{MAX_PROBE_DEGREE}, "
+            f"{MAX_PROBE_DEGREE}]; pass --max-degree"
+        )
+    return lo, hi
+
+
+def _hilbert_payload(complex_, window):
+    return cohomology(complex_).dimension_table(*window).to_json_dict()
 
 
 def execute(args, workspace: Workspace):
@@ -165,12 +189,13 @@ def execute(args, workspace: Workspace):
         }, 0
     if command == "cohomology":
         obj = cat.object(args.name)
+        window = _window(obj, args.max_degree, f"object {args.name}")
         module = cohomology(obj)
         return {
             "object": args.name,
             "module": module.to_json_dict(),
             "annihilator": list(module.annihilator().display_basis()),
-            "hilbert": _hilbert_payload(obj, args.max_degree),
+            "hilbert": _hilbert_payload(obj, window),
         }, 0
     if command == "support":
         obj = cat.object(args.name)
@@ -193,21 +218,23 @@ def execute(args, workspace: Workspace):
         except InputError as err:
             raise InputError(f"koszul element: {err}") from None
         built = koszul_object(obj, sequence)
-        support = cat.support(built)
         label = f"{args.name}//({','.join(str(f) for f in sequence)})"
+        window = _window(built, args.max_degree, f"object {label}")
+        support = cat.support(built)
         return {
             "object": label,
             "gens": list(built.degrees),
-            "hilbert": _hilbert_payload(built, args.max_degree),
+            "hilbert": _hilbert_payload(built, window),
             "support": list(support.ideal_strings()),
         }, 0
     if command == "residue":
         prime = cat.prime(args.name)
         residue = residue_field_object(prime)
+        window = _window(residue.complex, args.max_degree, f"prime {prime.name}")
         return {
             "prime": prime.name,
             "status": prime.status,
-            "hilbert": _hilbert_payload(residue.complex, args.max_degree),
+            "hilbert": _hilbert_payload(residue.complex, window),
             "annihilator": list(residue.cohomology.annihilator().display_basis()),
             "generic_rank": generic_rank(residue.cohomology, prime),
         }, 0
@@ -245,9 +272,11 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--input", required=True, help="workspace JSON file")
     common.add_argument("--format", choices=["json", "text"], default="json")
     common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--n", type=int, default=25)
+    common.add_argument("--n", type=int, default=25,
+                        help=f"instances per randomized suite, 1 to {MAX_N}")
     common.add_argument("--max-degree", type=int, default=None, dest="max_degree",
-                        help="override the Hilbert probe window to [-N, N]")
+                        help="override the Hilbert probe window to [-N, N], "
+                             f"0 <= N <= {MAX_PROBE_DEGREE}")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("validate", parents=[common])
     p = sub.add_parser("cohomology", parents=[common])
@@ -270,6 +299,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_budgets(args)
         workspace = parse_workspace(args.input)
         result, code = execute(args, workspace)
     except (InputError, CertificateError) as err:

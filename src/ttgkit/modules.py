@@ -1,12 +1,20 @@
 """Finitely presented graded modules: annihilators, Hilbert data, local tests.
 
+Module invariants are computed on a core presentation: the isomorphic module
+obtained by cancelling every relation that has a unit (degree-0, hence
+constant) entry against that generator, as in Macaulay2's `prune`.  The
+annihilator is the meet of the generator transporters (N : e_i) of the core,
+each read off one completion of the reduced relation basis with a single tag
+position (elimination; Eisenbud, Commutative Algebra, section 15).  The
+Hilbert function counts the standard monomials of the core.
+
 Localization at a prime is never materialized: every p-local statement is
 reduced to a rank over the fraction field Frac(R/p) of the quotient domain.
 Vanishing at p is decided by Nakayama's lemma, as full rank of the relation
-matrix reduced mod p.  The annihilator (the meet of the generator
-transporters) decides the same question by ideal containment; it is kept as
-the independent referee of the rank route.  Both reductions are valid
-because all modules produced here are finitely generated.
+matrix reduced mod p, on the given presentation.  The annihilator decides the
+same question by ideal containment; it is kept as the independent referee of
+the rank route.  Both reductions are valid because all modules produced here
+are finitely generated.
 """
 
 from dataclasses import dataclass
@@ -16,8 +24,8 @@ from .groebner import (
     FreeContext,
     HomIdeal,
     SubmoduleBasis,
+    buchberger_module,
     ideal_intersection,
-    syzygy_module,
 )
 from .rings import GradedRing, Polynomial
 
@@ -46,10 +54,14 @@ class GradedModule:
     """A graded module given by generator degrees and homogeneous relations.
 
     Presentations may be non-minimal; construction only canonicalizes by
-    dropping zero and duplicate relation columns.
+    dropping zero and duplicate relation columns.  `core()` is the lazily
+    cached isomorphic presentation without unit entries; `annihilator()` and
+    `hilbert_dimension()` read it, while the presentation-indexed queries
+    (`unkilled_generator`, `transporters`, the localization rank) keep the
+    given generators.
     """
 
-    __slots__ = ("ring", "gens", "relations", "_rel_basis", "_annihilator", "_hash")
+    __slots__ = ("ring", "gens", "relations", "_rel_basis", "_core", "_annihilator", "_hash")
 
     def __init__(self, ring: GradedRing, gens, relations=()):
         self.ring = ring
@@ -83,6 +95,7 @@ class GradedModule:
                 cols.append(canon)
         self.relations = tuple(cols)
         self._rel_basis = None
+        self._core = None
         self._annihilator = None
         self._hash = None
 
@@ -104,6 +117,13 @@ class GradedModule:
             ctx = FreeContext(self.ring, self.gens)
             self._rel_basis = SubmoduleBasis.generate(self.relation_vectors(), ctx)
         return self._rel_basis
+
+    def core(self) -> "GradedModule":
+        """An isomorphic presentation with no unit entry; self if there was none."""
+        if self._core is None:
+            self._core = _cancel_units(self)
+            self._core._core = self._core
+        return self._core
 
     def __eq__(self, other):
         return (
@@ -144,13 +164,14 @@ class GradedModule:
         return tuple(self._transporter(i) for i in range(len(self.gens)))
 
     def annihilator(self) -> HomIdeal:
-        """Ann M, intersected over the transporters of the generators."""
+        """Ann M, intersected over the transporters of the core generators."""
         if self._annihilator is None:
-            if not self.gens:
+            core = self.core()
+            if not core.gens:
                 self._annihilator = HomIdeal(self.ring, [self.ring.one()])
             else:
                 result = None
-                for t in self.transporters():
+                for t in core.transporters():
                     result = t if result is None else ideal_intersection(result, t)
                     if result.is_zero():
                         break
@@ -158,29 +179,37 @@ class GradedModule:
         return self._annihilator
 
     def _transporter(self, index: int) -> HomIdeal:
-        """(relations : e_index) = {f | f * e_index lies in the relation span}."""
+        """(relations : e_index) = {f | f * e_index lies in the relation span}.
+
+        The row e_index + t is completed together with the reduced relation
+        basis, in a free module with one tag position t ranked below every
+        generator.  An element of the span is n + f*(e_index + t) with n a
+        relation; it lies in the tag block exactly when f*e_index = -n, so the
+        tag-block elements of the completed basis are f*t for f generating
+        the transporter.
+        """
         ring = self.ring
+        ncols = len(self.gens)
         zero_expt = (0,) * ring.nvars
-        rows = [{(index, zero_expt): ring.field.one}] + self.relation_vectors()
-        degrees = [self.gens[index]] + self.relation_degrees()
-        ctx = FreeContext(ring, self.gens)
-        syzygies, _ = syzygy_module(rows, degrees, ctx)
-        gens = []
-        for syz in syzygies:
-            a = Polynomial(ring, {e: c for (p, e), c in syz.items() if p == 0})
-            if not a.is_zero():
-                gens.append(a.monic())
-        return HomIdeal(ring, gens)
+        ctx = FreeContext(ring, self.gens + (self.gens[index],), block=ncols)
+        row = {(index, zero_expt): ring.field.one, (ncols, zero_expt): ring.field.one}
+        basis = buchberger_module(self.rel_basis().elements + [row], ctx)
+        return HomIdeal(ring, [
+            Polynomial(ring, {e: c for (_, e), c in vec.items()})
+            for vec in basis
+            if all(p == ncols for p, _ in vec)
+        ])
 
     def hilbert_dimension(self, degree: int) -> int:
-        """Exact k-dimension of the degree component, via standard monomials."""
-        if not self.gens:
+        """Exact k-dimension of the degree component, via standard monomials of the core."""
+        core = self.core()
+        if not core.gens:
             return 0
-        if not self.relations:
+        if not core.relations:
             return sum(
-                len(self.ring.monomials_of_weight(degree - d)) for d in self.gens
+                len(self.ring.monomials_of_weight(degree - d)) for d in core.gens
             )
-        return self.rel_basis().standard_monomial_count(degree)
+        return core.rel_basis().standard_monomial_count(degree)
 
     def dimension_table(self, lo: int, hi: int) -> GradedDimensionTable:
         return GradedDimensionTable(
@@ -195,6 +224,55 @@ class GradedModule:
                 [str(entries.get(i, self.ring.zero())) for i in range(len(self.gens))]
             )
         return {"gens": list(self.gens), "relations": matrix}
+
+
+def _cancel_units(module: GradedModule) -> GradedModule:
+    """Cancel unit entries, one relation column and one generator at a time.
+
+    The pivot is the first column r with a unit entry, at its lowest such
+    generator j, with constant c.  Every other column s with s_j != 0 becomes
+    s - (s_j/c) r, which keeps the relation span and clears s_j; then e_j is
+    a combination of the other generators modulo r, so generator j and
+    column r drop out.  Weights are positive, so unit entries are exactly
+    the constant ones.
+    """
+    ring = module.ring
+    field = ring.field
+    unit = (0,) * ring.nvars
+    alive = list(range(len(module.gens)))
+    cols = [dict(col) for col in module.relations]
+
+    def pivot():
+        for r, col in enumerate(cols):
+            units = [i for i, p in col.items() if unit in p.terms]
+            if units:
+                return r, min(units)
+        return None
+
+    while (found := pivot()) is not None:
+        r, j = found
+        col = cols.pop(r)
+        scale = field.neg(field.inv(col[j].terms[unit]))
+        for s in cols:
+            sj = s.get(j)
+            if sj is None:
+                continue
+            factor = sj.scale(scale)
+            for i, p in col.items():
+                q = s[i] + factor * p if i in s else factor * p
+                if q.is_zero():
+                    del s[i]
+                else:
+                    s[i] = q
+        alive.remove(j)
+    if len(alive) == len(module.gens):
+        return module
+    position = {old: new for new, old in enumerate(alive)}
+    return GradedModule(
+        ring,
+        [module.gens[i] for i in alive],
+        [{position[i]: p for i, p in s.items()} for s in cols],
+    )
 
 
 def free_module(ring: GradedRing, degrees) -> GradedModule:

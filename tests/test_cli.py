@@ -1,8 +1,12 @@
 import json
+import pathlib
+import re
 
 import pytest
 
 from ttgkit.cli import (
+    MAX_N,
+    MAX_PROBE_DEGREE,
     Workspace,
     build_parser,
     emit_report,
@@ -12,6 +16,13 @@ from ttgkit.cli import (
 )
 from ttgkit.errors import InputError
 from ttgkit.serialize import canonical_json
+
+
+FIXTURES = pathlib.Path(__file__).parent.parent / "fixtures"
+COMMAND_GOLDENS = sorted(
+    p.name for p in (FIXTURES / "golden").glob("*.json")
+    if p.name.startswith(("cohomology-", "residue-"))
+)
 
 
 def run_cli(capsys, *argv):
@@ -229,3 +240,41 @@ def test_f5_fixture_parses_and_validates(capsys, f5xyz_path):
     payload = json.loads(out)
     assert payload["ring"]["char"] == 5
     assert len(payload["primes"]) == 8
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["cohomology", "cx", "--max-degree", "20000"], r"^error: --max-degree: 20000 "),
+    (["cohomology", "cx", "--max-degree", "-3"], r"^error: --max-degree: -3 "),
+    (["koszul", "unit", "x^5000"],
+     r"^error: object unit//\(x\^5000\): probe window \[-4, 10003\] exceeds .*--max-degree"),
+    (["check", "nakayama", "--seed", "1", "--n", "100000000"], r"^error: --n: 100000000 "),
+    (["check", "nakayama", "--seed", "1", "--n", "-5"], r"^error: --n: -5 "),
+], ids=["max-degree-huge", "max-degree-negative", "koszul-window", "n-huge", "n-negative"])
+def test_cli_budgets_reject_before_algebra(capsys, qxy_path, argv, message):
+    code, out, err = run_cli(capsys, *argv, "--input", qxy_path)
+    assert code == 2
+    assert out == ""
+    assert re.search(message, err), err
+
+
+def test_cli_budget_limits_are_accepted(capsys, qxy_path):
+    code, out, _ = run_cli(capsys, "cohomology", "cx", "--max-degree",
+                           str(MAX_PROBE_DEGREE), "--input", qxy_path)
+    assert code == 0
+    assert json.loads(out)["hilbert"]["hi"] == MAX_PROBE_DEGREE
+    code, out, _ = run_cli(capsys, "koszul", "unit", "x^5000", "--max-degree", "4",
+                           "--input", qxy_path)
+    assert code == 0
+    code, out, _ = run_cli(capsys, "check", "homotopy", "--seed", "1", "--n", str(MAX_N),
+                           "--input", qxy_path)
+    assert code == 0
+    assert json.loads(out)["n"] == MAX_N
+
+
+@pytest.mark.parametrize("golden", COMMAND_GOLDENS)
+def test_command_goldens(capsys, golden):
+    command, fixture, name = golden[: -len(".json")].split("-")
+    code, out, err = run_cli(capsys, command, name, "--input",
+                             str(FIXTURES / f"{fixture}.json"))
+    assert code == 0, err
+    assert out == (FIXTURES / "golden" / golden).read_text()

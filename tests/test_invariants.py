@@ -5,7 +5,13 @@ import random
 
 import pytest
 
-from oracles import ExactSpan, hilbert_oracle, membership_oracle, poly_vector
+from oracles import (
+    ExactSpan,
+    annihilator_dimension_oracle,
+    hilbert_oracle,
+    membership_oracle,
+    poly_vector,
+)
 from ttgkit import HomIdeal, ideal_quotient
 from ttgkit.cli import main
 from ttgkit.classify import in_thick
@@ -105,6 +111,36 @@ def test_hilbert_oracle_on_catalogue_modules(catalogue_q):
             assert module.hilbert_dimension(degree) == hilbert_oracle(module, degree), (
                 name, degree,
             )
+
+
+@pytest.mark.parametrize("catalogue_name", ["catalogue_q", "catalogue_f5"])
+def test_annihilator_and_hilbert_match_oracles(request, catalogue_name):
+    """Ann M and the Hilbert function, read off the core presentation, agree
+    degree by degree with row reduction on the given presentation."""
+    cat = request.getfixturevalue(catalogue_name)
+    ring = cat.ring
+    rng = random.Random(8191)
+    modules = [cohomology(cat.objects[name]) for name in sorted(cat.objects)]
+    for monomial_only in (True, False):
+        for _ in range(10):
+            x = random_perfect_complex(ring, rng.randrange(2**30), max_gens=8, steps=4,
+                                       monomial_only=monomial_only)
+            modules.append(cohomology(x))
+    cancelled = 0
+    for module in modules:
+        if module.core() is not module:
+            cancelled += 1
+        basis = module.annihilator().groebner_basis()
+        for degree in range(0, 9):
+            engine = (len(ring.monomials_of_weight(degree))
+                      - basis.standard_monomial_count(degree))
+            assert engine == annihilator_dimension_oracle(module, degree), (module, degree)
+        lo = min(module.gens, default=0)
+        for degree in range(lo - 2, lo + 9):
+            assert module.hilbert_dimension(degree) == hilbert_oracle(module, degree), (
+                module, degree,
+            )
+    assert cancelled > 0
 
 
 def test_in_thick_transitive(catalogue_q):

@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from oracles import hilbert_oracle
+from oracles import annihilator_dimension_oracle, hilbert_oracle
 from ttgkit import GradedRing, HomIdeal, InputError
+from ttgkit.complexes import cohomology, random_perfect_complex
 from ttgkit.fields import Field
 from ttgkit.modules import (
     GradedModule,
@@ -95,6 +96,61 @@ def test_hilbert_matches_rowreduction_oracle(setup):
         for d in range(-2, 17):
             assert module.hilbert_dimension(d) == hilbert_oracle(module, d), (module, d)
     del rng
+
+
+def test_core_cancels_one_unit_entry(setup):
+    ring, x, y, _ = setup
+    # e1 = -x*e0 modulo the first relation, so y*e1 = 0 becomes x*y*e0 = 0.
+    module = GradedModule(ring, (0, 2), [{0: x, 1: ring.one()}, {1: y}])
+    core = module.core()
+    assert core.gens == (0,)
+    assert core.relations == (((0, -(x * y)),),)
+    assert core.core() is core
+    assert module.dimension_table(-2, 12) == core.dimension_table(-2, 12)
+    for d in range(-2, 13):
+        assert module.hilbert_dimension(d) == hilbert_oracle(module, d)
+    assert module.annihilator().same_ideal(HomIdeal(ring, [x * y]))
+    ann = module.annihilator().groebner_basis()
+    for d in range(0, 9):
+        expected = annihilator_dimension_oracle(module, d)
+        assert expected == annihilator_dimension_oracle(core, d)
+        assert len(ring.monomials_of_weight(d)) - ann.standard_monomial_count(d) == expected
+
+
+def test_core_without_unit_entries_is_self(setup):
+    ring, x, y, _ = setup
+    for module in (
+        free_module(ring, (0, 2)),
+        quotient_module(ring, HomIdeal(ring, [x, y])),
+        GradedModule(ring, (0, 2), [{0: x * x, 1: y}, {1: x * x}]),
+    ):
+        assert module.core() is module
+
+
+def test_core_of_unit_quotient_has_no_generators(setup):
+    ring, *_ = setup
+    module = quotient_module(ring, HomIdeal(ring, [ring.one()]))
+    core = module.core()
+    assert core.gens == () and core.relations == ()
+    assert module.annihilator().is_unit()
+    assert all(module.hilbert_dimension(d) == 0 for d in range(-2, 7))
+
+
+def test_core_leaves_no_degree_zero_entry(ring_q, ring_f5):
+    def has_unit_entry(module):
+        return any(p.homogeneous_degree() == 0 for col in module.relations for _, p in col)
+
+    rng = random.Random(733)
+    shrunk = 0
+    for ring in (ring_q, ring_f5):
+        for _ in range(12):
+            module = cohomology(random_perfect_complex(ring, rng.randrange(2**30),
+                                                       max_gens=10, steps=5))
+            core = module.core()
+            assert not has_unit_entry(core), module
+            assert (core is not module) == has_unit_entry(module), module
+            shrunk += core is not module
+    assert shrunk > 0
 
 
 def test_dimension_table_window(setup):
