@@ -23,6 +23,11 @@ from .spectrum import PrimePoint, residue_field_object
 # exits 2.  The worst window on fixtures/f5xyz.json (`koszul kxyz z
 # --max-degree 400`) takes about 2.6 s and 66 MiB, and the slowest suite at
 # `--n 60` (minimality-surrogate, seeds 1-4) at most 5.4 s, on a 2-vCPU VM.
+# At parse, MAX_PROBE_DEGREE also bounds the weighted degree of every
+# workspace polynomial and the absolute degree of every complex generator.
+# With the prime (x^200) added to fixtures/f5xyz.json, every command and every
+# suite at `--n 1` takes at most 1.5 s, but the degree bound is not a time
+# bound for suites: `check zero-action --seed 1 --n 60` passes 120 s.
 MAX_N = 60              # --n: instances per randomized suite, from 1
 MAX_PROBE_DEGREE = 400  # --max-degree N probes [-N, N]; a default window must fit too
 
@@ -56,6 +61,14 @@ def _expect(mapping, key, kind, where):
     return value
 
 
+def _optional_list(mapping, key, where):
+    """mapping[key], which must be a list when present; [] when absent."""
+    value = mapping.get(key, [])
+    if not isinstance(value, list):
+        raise InputError(f"{where}: expected list")
+    return value
+
+
 def parse_workspace(path: str) -> Workspace:
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -66,6 +79,8 @@ def parse_workspace(path: str) -> Workspace:
         raise InputError(
             f"{path}: invalid JSON at line {err.lineno}, column {err.colno}: {err.msg}"
         ) from None
+    except (ValueError, RecursionError) as err:  # over-long integer, too deep nesting
+        raise InputError(f"{path}: unsupported JSON: {err}") from None
 
     ring_spec = _expect(raw, "ring", dict, path)
     char = _expect(ring_spec, "char", int, f"{path}:ring")
@@ -88,12 +103,18 @@ def parse_workspace(path: str) -> Workspace:
         if not isinstance(text, str):
             raise InputError(f"{where}: expected a polynomial string")
         try:
-            return ring.parse(text)
+            poly = ring.parse(text)
         except InputError as err:
             raise InputError(f"{where}: {err}") from None
+        degree = max(map(ring.weighted_degree, poly.terms), default=0)
+        if degree > MAX_PROBE_DEGREE:
+            raise InputError(
+                f"{where}: weighted degree {degree} exceeds {MAX_PROBE_DEGREE}"
+            )
+        return poly
 
     primes = []
-    for i, spec in enumerate(raw.get("primes", [])):
+    for i, spec in enumerate(_optional_list(raw, "primes", f"{path}:primes")):
         where = f"{path}:primes[{i}]"
         name = _expect(spec, "name", str, where)
         gens = [parse_poly(t, f"{where}.gens[{j}]")
@@ -107,7 +128,7 @@ def parse_workspace(path: str) -> Workspace:
             raise InputError(f"{where}: {err}") from None
 
     objects = {}
-    for i, spec in enumerate(raw.get("complexes", [])):
+    for i, spec in enumerate(_optional_list(raw, "complexes", f"{path}:complexes")):
         where = f"{path}:complexes[{i}]"
         name = _expect(spec, "name", str, where)
         gen_specs = _expect(spec, "gens", list, where)
@@ -115,10 +136,16 @@ def parse_workspace(path: str) -> Workspace:
         degrees = []
         for j, g in enumerate(gen_specs):
             gen_names.append(_expect(g, "name", str, f"{where}.gens[{j}]"))
-            degrees.append(_expect(g, "degree", int, f"{where}.gens[{j}]"))
+            degree = _expect(g, "degree", int, f"{where}.gens[{j}]")
+            if not -MAX_PROBE_DEGREE <= degree <= MAX_PROBE_DEGREE:
+                raise InputError(
+                    f"{where}.gens[{j}].degree: {degree} is outside the supported range "
+                    f"[-{MAX_PROBE_DEGREE}, {MAX_PROBE_DEGREE}]"
+                )
+            degrees.append(degree)
         index = {n: k for k, n in enumerate(gen_names)}
         entries = {}
-        for j, e in enumerate(spec.get("d", [])):
+        for j, e in enumerate(_optional_list(spec, "d", f"{where}.d")):
             src = _expect(e, "from", str, f"{where}.d[{j}]")
             dst = _expect(e, "to", str, f"{where}.d[{j}]")
             coef = parse_poly(_expect(e, "coef", str, f"{where}.d[{j}]"), f"{where}.d[{j}].coef")

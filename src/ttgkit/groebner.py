@@ -6,7 +6,9 @@ block, and inside a block terms compare by total degree (monomial weight plus
 position degree), then weighted grevlex on the monomial, then position.  The
 tag block turns one completion pass into a syzygy computation: every element
 of the augmented module keeps, in its tag coordinates, an exact expression of
-its leading-block part in terms of the original generators.
+its leading-block part in terms of the original generators.  With a single
+tag position the same pass is `colon`, the one routine behind every
+transporter, ideal quotient, intersection and annihilator in the package.
 
 Everything here is a pure function of its inputs; ideal bases are memoized in
 a process-wide table keyed by ring and generator values (concurrent fills
@@ -419,6 +421,31 @@ class HomIdeal:
         return f"({inner})" if inner else "(0)"
 
 
+def colon(rows, vec, ctx) -> HomIdeal:
+    """The colon (N : vec) = {f | f * vec in N}, N the span of rows in ctx.
+
+    The row vec + t is completed together with rows, in a free module with
+    one tag position t of degree deg vec ranked below every position of ctx.
+    An element of the span is n + f*(vec + t) with n in N; it lies in the tag
+    block exactly when f*vec = -n, so the tag-block elements of the completed
+    basis are f*t for f generating the colon (elimination; Eisenbud,
+    Commutative Algebra, section 15.10).  vec must be nonzero and homogeneous.
+    """
+    ring = ctx.ring
+    ncols = len(ctx.degrees)
+    pos, expt = next(iter(vec))
+    degree = ctx.degrees[pos] + ring.weighted_degree(expt)
+    tag_ctx = FreeContext(ring, ctx.degrees + (degree,), block=ncols)
+    row = dict(vec)
+    row[(ncols, (0,) * ring.nvars)] = ring.field.one
+    basis = buchberger_module(list(rows) + [row], tag_ctx)
+    return HomIdeal(ring, [
+        Polynomial(ring, {e: c for (_, e), c in v.items()})
+        for v in basis
+        if all(p == ncols for p, _ in v)
+    ])
+
+
 def ideal_quotient(ideal: HomIdeal, f: Polynomial) -> HomIdeal:
     """The transporter (ideal : f) = {g | g*f in ideal}."""
     if f.is_zero():
@@ -427,44 +454,20 @@ def ideal_quotient(ideal: HomIdeal, f: Polynomial) -> HomIdeal:
     ring = ideal.ring
     if f.ring != ring:
         raise InputError("polynomial ring mismatch")
-    rows = [poly_to_vec(f)] + [poly_to_vec(g) for g in ideal.generators]
-    degrees = [f.homogeneous_degree()] + [g.homogeneous_degree() for g in ideal.generators]
-    ctx = FreeContext(ring, (0,))
-    syzygies, _ = syzygy_module(rows, degrees, ctx)
-    gens = []
-    for syz in syzygies:
-        a = vec_component({(p, e): c for (p, e), c in syz.items() if p == 0}, 0, ring)
-        if not a.is_zero():
-            gens.append(a)
-    return HomIdeal(ring, gens)
+    rows = [poly_to_vec(g) for g in ideal.generators]
+    return colon(rows, poly_to_vec(f), FreeContext(ring, (0,)))
 
 
 def ideal_intersection(first: HomIdeal, second: HomIdeal) -> HomIdeal:
-    """Intersection computed as syzygies of (1,1), (gens,0), (0,gens) in R^2."""
+    """The intersection as the colon (first*e_0 + second*e_1 : e_0 + e_1) in R^2."""
     ring = first.ring
     if second.ring != ring:
         raise InputError("ideal ring mismatch")
-    if first.is_zero() or second.is_zero():
-        return HomIdeal(ring, [])
-    one = ring.one()
-    diagonal = poly_to_vec(one, 0)
-    diagonal.update(poly_to_vec(one, 1))
-    rows = [diagonal]
-    degrees = [0]
-    for g in first.generators:
-        rows.append(poly_to_vec(g, 0))
-        degrees.append(g.homogeneous_degree())
-    for g in second.generators:
-        rows.append(poly_to_vec(g, 1))
-        degrees.append(g.homogeneous_degree())
-    ctx = FreeContext(ring, (0, 0))
-    syzygies, _ = syzygy_module(rows, degrees, ctx)
-    gens = []
-    for syz in syzygies:
-        a = Polynomial(ring, {e: c for (p, e), c in syz.items() if p == 0})
-        if not a.is_zero():
-            gens.append(a.monic())
-    return HomIdeal(ring, gens)
+    rows = [poly_to_vec(g, 0) for g in first.generators]
+    rows += [poly_to_vec(g, 1) for g in second.generators]
+    diagonal = poly_to_vec(ring.one(), 0)
+    diagonal.update(poly_to_vec(ring.one(), 1))
+    return colon(rows, diagonal, FreeContext(ring, (0, 0)))
 
 
 def module_syzygies(matrix, row_degrees, col_degrees, ring: GradedRing):

@@ -3,10 +3,11 @@
 Module invariants are computed on a core presentation: the isomorphic module
 obtained by cancelling every relation that has a unit (degree-0, hence
 constant) entry against that generator, as in Macaulay2's `prune`.  The
-annihilator is the meet of the generator transporters (N : e_i) of the core,
-each read off one completion of the reduced relation basis with a single tag
-position (elimination; Eisenbud, Commutative Algebra, section 15).  The
-Hilbert function counts the standard monomials of the core.
+annihilator of a core with k generators is one colon (`groebner.colon`):
+(N^k : sum_i e_i^(i)) in k twisted copies of the free module, read off a
+single completion with one tag position (elimination; Eisenbud, Commutative
+Algebra, section 15.10).  The Hilbert function counts the standard monomials
+of the core.
 
 Localization at a prime is never materialized: every p-local statement is
 reduced to a rank over the fraction field Frac(R/p) of the quotient domain.
@@ -20,13 +21,7 @@ are finitely generated.
 from dataclasses import dataclass
 
 from .errors import HomogeneityError, InputError
-from .groebner import (
-    FreeContext,
-    HomIdeal,
-    SubmoduleBasis,
-    buchberger_module,
-    ideal_intersection,
-)
+from .groebner import FreeContext, HomIdeal, SubmoduleBasis, colon
 from .rings import GradedRing, Polynomial
 
 
@@ -55,10 +50,10 @@ class GradedModule:
 
     Presentations may be non-minimal; construction only canonicalizes by
     dropping zero and duplicate relation columns.  `core()` is the lazily
-    cached isomorphic presentation without unit entries; `annihilator()` and
-    `hilbert_dimension()` read it, while the presentation-indexed queries
-    (`unkilled_generator`, `transporters`, the localization rank) keep the
-    given generators.
+    cached isomorphic presentation without unit entries; `annihilator()` (one
+    colon over N^k) and `hilbert_dimension()` read it, while the
+    presentation-indexed queries (`unkilled_generator`, `transporters`, one
+    colon per generator, and the localization rank) keep the given generators.
     """
 
     __slots__ = ("ring", "gens", "relations", "_rel_basis", "_core", "_annihilator", "_hash")
@@ -160,45 +155,39 @@ class GradedModule:
         return None
 
     def transporters(self):
-        """(relations : e_i) for each generator; Ann M is their meet."""
-        return tuple(self._transporter(i) for i in range(len(self.gens)))
+        """(relations : e_i) for each generator of the given presentation."""
+        basis = self.rel_basis()
+        one = self.ring.field.one
+        zero_expt = (0,) * self.ring.nvars
+        return tuple(
+            colon(basis.elements, {(i, zero_expt): one}, basis.ctx)
+            for i in range(len(self.gens))
+        )
 
     def annihilator(self) -> HomIdeal:
-        """Ann M, intersected over the transporters of the core generators."""
+        """Ann M as one colon (N^k : sum_i e_i^(i)) over the core's k generators.
+
+        Copy i of F^k carries the core's reduced relation basis, twisted by
+        -deg e_i, so every diagonal entry e_i^(i) has degree 0; f kills the
+        diagonal modulo N^k exactly when f kills every generator modulo N.
+        """
         if self._annihilator is None:
             core = self.core()
-            if not core.gens:
+            k = len(core.gens)
+            if not k:
                 self._annihilator = HomIdeal(self.ring, [self.ring.one()])
             else:
-                result = None
-                for t in core.transporters():
-                    result = t if result is None else ideal_intersection(result, t)
-                    if result.is_zero():
-                        break
-                self._annihilator = result
+                zero_expt = (0,) * self.ring.nvars
+                degrees = tuple(d - shift for shift in core.gens for d in core.gens)
+                relations = core.rel_basis().elements
+                rows = [
+                    {(i * k + j, e): c for (j, e), c in v.items()}
+                    for i in range(k)
+                    for v in relations
+                ]
+                diagonal = {(i * k + i, zero_expt): self.ring.field.one for i in range(k)}
+                self._annihilator = colon(rows, diagonal, FreeContext(self.ring, degrees))
         return self._annihilator
-
-    def _transporter(self, index: int) -> HomIdeal:
-        """(relations : e_index) = {f | f * e_index lies in the relation span}.
-
-        The row e_index + t is completed together with the reduced relation
-        basis, in a free module with one tag position t ranked below every
-        generator.  An element of the span is n + f*(e_index + t) with n a
-        relation; it lies in the tag block exactly when f*e_index = -n, so the
-        tag-block elements of the completed basis are f*t for f generating
-        the transporter.
-        """
-        ring = self.ring
-        ncols = len(self.gens)
-        zero_expt = (0,) * ring.nvars
-        ctx = FreeContext(ring, self.gens + (self.gens[index],), block=ncols)
-        row = {(index, zero_expt): ring.field.one, (ncols, zero_expt): ring.field.one}
-        basis = buchberger_module(self.rel_basis().elements + [row], ctx)
-        return HomIdeal(ring, [
-            Polynomial(ring, {e: c for (_, e), c in vec.items()})
-            for vec in basis
-            if all(p == ncols for p, _ in vec)
-        ])
 
     def hilbert_dimension(self, degree: int) -> int:
         """Exact k-dimension of the degree component, via standard monomials of the core."""

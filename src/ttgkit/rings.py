@@ -259,7 +259,11 @@ def _tokenize(text: str):
             raise InputError(f"unexpected character {text[pos]!r} at column {pos + 1}")
         pos = m.end()
         if m.group("num"):
-            tokens.append(("num", m.group("num"), m.start()))
+            try:
+                value = int(m.group("num"))
+            except ValueError:  # past the interpreter's integer-string digit limit
+                raise InputError(f"number too long at column {m.start() + 1}") from None
+            tokens.append(("num", value, m.start()))
         elif m.group("name"):
             tokens.append(("name", m.group("name"), m.start()))
         else:
@@ -298,13 +302,13 @@ def parse_polynomial(ring: GradedRing, text: str) -> Polynomial:
             if kind == "num":
                 if saw_factor:
                     fail("coefficient must precede variables", tokens[i])
-                num = int(val)
+                num = val
                 i += 1
                 if i < n and tokens[i][0] == "op" and tokens[i][1] == "/":
                     i += 1
                     if i >= n or tokens[i][0] != "num":
                         fail("expected denominator", tokens[i - 1])
-                    den = int(tokens[i][1])
+                    den = tokens[i][1]
                     if den == 0:
                         fail("zero denominator", tokens[i])
                     i += 1
@@ -323,7 +327,7 @@ def parse_polynomial(ring: GradedRing, text: str) -> Polynomial:
                     i += 1
                     if i >= n or tokens[i][0] != "num":
                         fail("expected exponent", tokens[i - 1])
-                    power = int(tokens[i][1])
+                    power = tokens[i][1]
                     i += 1
                 expt[idx] += power
                 saw_factor = True

@@ -137,27 +137,30 @@ def hilbert_oracle(module, degree) -> int:
     return total - span.rank
 
 
-def annihilator_dimension_oracle(module, degree) -> int:
+def annihilator_dimension_oracle(module, degree, indices=None) -> int:
     """dim_k {f in R_degree : f * e_i in N for every generator e_i}.
 
     N is the relation span of the given presentation.  The map sending f to
     the classes of f * e_i in each (F / N)_(degree + deg e_i) is linear; each
     class is the reduced remainder against that degree's span of N, keyed by
     generator so the summands stay apart.  The annihilator in this degree is
-    the kernel of that map.
+    the kernel of that map.  With `indices`, only those generators e_i are
+    asked to be killed: for a single index i this is dim (N : e_i)_degree.
     """
     ring = module.ring
+    if indices is None:
+        indices = range(len(module.gens))
     monomials = ring.monomials_of_weight(degree)
     spans = {}
-    for d in set(module.gens):
+    for d in {module.gens[i] for i in indices}:
         spans[d] = module_degree_span(
             module.relation_vectors(), module.relation_degrees(), ring, degree + d
         )
     image = ExactSpan(ring.field)
     for m in monomials:
         vec = {}
-        for i, d in enumerate(module.gens):
-            remainder = spans[d].reduce({(i, m): ring.field.one})
+        for i in indices:
+            remainder = spans[module.gens[i]].reduce({(i, m): ring.field.one})
             vec.update({(i, key): c for key, c in remainder.items()})
         image.add(vec)
     return len(monomials) - image.rank

@@ -1,8 +1,11 @@
 import json
 import pathlib
 import re
+from datetime import timedelta
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ttgkit.cli import (
     MAX_N,
@@ -109,6 +112,99 @@ def test_parse_locates_bad_polynomial(tmp_path):
     }))
     with pytest.raises(InputError, match=r"primes\[0\].gens\[0\]"):
         parse_workspace(str(path))
+
+
+def _qxy_with(keys, value):
+    """The qxy fixture as JSON text, with the value at the key path replaced."""
+    raw = json.loads((FIXTURES / "qxy.json").read_text())
+    target = raw
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    return json.dumps(raw)
+
+
+@pytest.mark.parametrize("text, message", [
+    (_qxy_with(["complexes", 0, "d"], 5), r"complexes\[0\]\.d: expected list$"),
+    (_qxy_with(["primes"], {"a": 1}), r":primes: expected list$"),
+    (_qxy_with(["complexes"], "abc"), r":complexes: expected list$"),
+    (_qxy_with(["primes", 1], {"name": "px", "gens": ["x^1000000000000"],
+                                "seq": ["x^1000000000000"]}),
+     r"primes\[1\]\.gens\[0\]: weighted degree 2000000000000 exceeds 400$"),
+    (_qxy_with(["complexes", 2], {
+        "name": "cx", "gens": [{"name": "u", "degree": 201}, {"name": "v", "degree": -200}],
+        "d": [{"from": "u", "to": "v", "coef": "x^201"}]}),
+     r"complexes\[2\]\.d\[0\]\.coef: weighted degree 402 exceeds 400$"),
+    (_qxy_with(["complexes", 0, "gens", 0, "degree"], 401),
+     r"complexes\[0\]\.gens\[0\]\.degree: 401 is outside the supported range \[-400, 400\]$"),
+    (_qxy_with(["complexes", 0, "gens", 0, "degree"], -401),
+     r"complexes\[0\]\.gens\[0\]\.degree: -401 is outside"),
+    (_qxy_with(["primes", 1, "gens", 0], "1" * 5000 + "*x"),
+     r"primes\[1\]\.gens\[0\]: number too long at column 1$"),
+    ('{"ring": {"char": ' + "1" * 5000 + ', "vars": []}}', r": unsupported JSON: "),
+    ('{"ring": ' + "[" * 100000 + "]" * 100000 + "}", r": unsupported JSON: "),
+], ids=["d-int", "primes-dict", "complexes-string", "exponent-huge", "coef-degree",
+        "gen-degree-high", "gen-degree-low", "number-long", "json-int-long", "json-deep"])
+def test_cli_rejects_malformed_workspace(capsys, tmp_path, text, message):
+    path = tmp_path / "ws.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "validate", "--input", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {path}:"), err
+    assert re.search(message, err.rstrip("\n")), err
+
+
+_POLY_TEXT = st.text(alphabet="xyz0123456789+-*/^ ", max_size=10)
+_ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**6, 10**6) | _POLY_TEXT,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["name", "gens", "d", "x"]), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _or_any(strategy):
+    """Mostly the schema's type, sometimes any JSON value."""
+    return st.one_of(strategy, strategy, _ANY_JSON)
+
+
+_GEN_NAME = _or_any(st.sampled_from(["u", "v"]))
+_WORKSPACE = st.fixed_dictionaries(
+    {"ring": _or_any(st.fixed_dictionaries({
+        "char": _or_any(st.sampled_from([0, 5])),
+        "vars": _or_any(st.just([{"name": "x", "degree": 2}, {"name": "y", "degree": 2}])),
+    }))},
+    optional={
+        "primes": _or_any(st.lists(_or_any(st.fixed_dictionaries(
+            {"name": _or_any(st.sampled_from(["p", "q"])),
+             "gens": _or_any(st.lists(_or_any(_POLY_TEXT), max_size=2)),
+             "seq": _or_any(st.lists(_or_any(_POLY_TEXT), max_size=2))},
+            optional={"cert": _or_any(_POLY_TEXT)},
+        )), max_size=2)),
+        "complexes": _or_any(st.lists(_or_any(st.fixed_dictionaries(
+            {"name": _or_any(st.sampled_from(["a", "b"])),
+             "gens": _or_any(st.lists(_or_any(st.fixed_dictionaries(
+                 {"name": _GEN_NAME, "degree": _or_any(st.integers(-500, 500))})), max_size=2))},
+            optional={"d": _or_any(st.lists(_or_any(st.fixed_dictionaries(
+                {"from": _GEN_NAME, "to": _GEN_NAME, "coef": _or_any(_POLY_TEXT)})),
+                max_size=2))},
+        )), max_size=2)),
+    },
+)
+
+
+@settings(derandomize=True, database=None, max_examples=300,
+          deadline=timedelta(seconds=2),
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_WORKSPACE)
+def test_validate_fuzz_answers_or_exits_2(capsys, tmp_path, workspace):
+    """Generated workspaces, well- and ill-typed, either validate or exit 2."""
+    path = tmp_path / "fuzz.json"
+    path.write_text(json.dumps(workspace))
+    code, out, err = run_cli(capsys, "validate", "--input", str(path))
+    assert code in (0, 2)
+    assert (code == 0) == (err == ""), err
 
 
 def test_cli_validate(capsys, qxy_path):
@@ -257,7 +353,13 @@ def test_cli_budgets_reject_before_algebra(capsys, qxy_path, argv, message):
     assert re.search(message, err), err
 
 
-def test_cli_budget_limits_are_accepted(capsys, qxy_path):
+def test_cli_budget_limits_are_accepted(capsys, qxy_path, tmp_path):
+    path = tmp_path / "edge.json"
+    path.write_text(_qxy_with(["complexes", 2], {
+        "name": "cx", "gens": [{"name": "u", "degree": 400}, {"name": "v", "degree": 1}],
+        "d": [{"from": "u", "to": "v", "coef": "x^200"}]}))
+    code, _, err = run_cli(capsys, "validate", "--input", str(path))
+    assert code == 0, err
     code, out, _ = run_cli(capsys, "cohomology", "cx", "--max-degree",
                            str(MAX_PROBE_DEGREE), "--input", qxy_path)
     assert code == 0

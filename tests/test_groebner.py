@@ -148,6 +148,36 @@ def test_ideal_intersection(ring_q):
     for g in inter2.generators:
         assert HomIdeal(ring_q, [x - y]).contains_poly(g)
         assert HomIdeal(ring_q, [x, y]).contains_poly(g)
+    ideal = HomIdeal(ring_q, [x * y, y * y - x * x])
+    zero, unit = HomIdeal(ring_q, []), HomIdeal(ring_q, [ring_q.one()])
+    assert ideal_intersection(zero, ideal).is_zero()
+    assert ideal_intersection(ideal, zero).is_zero()
+    assert ideal_intersection(unit, ideal).same_ideal(ideal)
+    assert ideal_intersection(ideal, unit).same_ideal(ideal)
+
+
+@pytest.mark.parametrize("ring_name", ["ring_q", "ring_f5"])
+def test_ideal_intersection_dimensions_against_oracle(request, ring_name):
+    """dim (I n J)_d = dim I_d + dim J_d - dim (I + J)_d, degree by degree."""
+    ring = request.getfixturevalue(ring_name)
+    rng = random.Random(4099)
+
+    def oracle_dim(gens, degree):
+        vectors = [poly_to_vec(g) for g in gens]
+        degrees = [g.homogeneous_degree() for g in gens]
+        return module_degree_span(vectors, degrees, ring, degree).rank
+
+    for _ in range(8):
+        first = [random_homogeneous(ring, rng, max_degree=6)
+                 for _ in range(rng.randint(1, 3))]
+        second = [random_homogeneous(ring, rng, max_degree=6)
+                  for _ in range(rng.randint(1, 3))]
+        basis = ideal_intersection(HomIdeal(ring, first), HomIdeal(ring, second)).groebner_basis()
+        for d in range(0, 13):
+            engine = len(ring.monomials_of_weight(d)) - basis.standard_monomial_count(d)
+            expected = (oracle_dim(first, d) + oracle_dim(second, d)
+                        - oracle_dim(first + second, d))
+            assert engine == expected, (d, [str(g) for g in first], [str(g) for g in second])
 
 
 RINGS = [

@@ -143,6 +143,30 @@ def test_annihilator_and_hilbert_match_oracles(request, catalogue_name):
     assert cancelled > 0
 
 
+@pytest.mark.parametrize("catalogue_name", ["catalogue_q", "catalogue_f5"])
+def test_transporters_match_oracle(request, catalogue_name):
+    """(N : e_i) on the given presentation agrees degree by degree with row
+    reduction restricted to generator i."""
+    cat = request.getfixturevalue(catalogue_name)
+    ring = cat.ring
+    rng = random.Random(1663)
+    modules = [cohomology(cat.objects[name]) for name in sorted(cat.objects)]
+    for _ in range(8):
+        x = random_perfect_complex(ring, rng.randrange(2**30), max_gens=8, steps=4)
+        modules.append(cohomology(x))
+    for module in modules:
+        transporters = module.transporters()
+        assert len(transporters) == len(module.gens)
+        for i, transporter in enumerate(transporters):
+            basis = transporter.groebner_basis()
+            for degree in range(0, 7):
+                engine = (len(ring.monomials_of_weight(degree))
+                          - basis.standard_monomial_count(degree))
+                assert engine == annihilator_dimension_oracle(module, degree, indices=(i,)), (
+                    module, i, degree,
+                )
+
+
 def test_in_thick_transitive(catalogue_q):
     cat = catalogue_q
     kxy = cat.object("kxy")

@@ -55,6 +55,27 @@ def test_annihilator_soundness(setup):
             assert basis.contains(vec)
 
 
+def test_colon_edge_cases(setup):
+    """A free module, R/(1) and a single-generator core, against the oracle."""
+    ring, x, y, _ = setup
+    free = free_module(ring, (0, 2))
+    assert free.annihilator().is_zero()
+    assert all(t.is_zero() for t in free.transporters())
+    unit = quotient_module(ring, HomIdeal(ring, [ring.one()]))
+    assert unit.annihilator().is_unit()
+    assert [t.is_unit() for t in unit.transporters()] == [True]
+    # e1 = -y*e0 modulo the first relation, so the core is R/(x^2) in degree 2.
+    module = GradedModule(ring, (2, 4), [{0: y, 1: ring.one()}, {0: x * x}])
+    assert module.core().gens == (2,)
+    square = HomIdeal(ring, [x * x])
+    assert module.annihilator().same_ideal(square)
+    assert all(t.same_ideal(square) for t in module.transporters())
+    ann = module.annihilator().groebner_basis()
+    for d in range(0, 9):
+        expected = annihilator_dimension_oracle(module, d)
+        assert len(ring.monomials_of_weight(d)) - ann.standard_monomial_count(d) == expected
+
+
 def test_zero_module_annihilator_is_unit(setup):
     ring, *_ = setup
     assert GradedModule(ring, ()).annihilator().is_unit()
