@@ -4,6 +4,11 @@ Membership questions are answered through the support calculus; the converse
 direction (containment of supports implies constructibility) is supplied by
 the classification theorem, not by exhibiting triangles, and reports carry a
 fixed method note saying so.
+
+Suite contract: a suite is a generator over its instances that yields one
+witness (a JSON-ready dict) per failing instance and `None` per passing one.
+`run_suite` numbers the instances and derives each record's `ok` from the
+witness, so an instance fails exactly when it has a witness.
 """
 
 import random
@@ -175,29 +180,25 @@ def _instance_rng(seed: int, index: int) -> random.Random:
     return random.Random(seed * 1000003 + index)
 
 
-def _random_object(catalogue, rng, max_gens=8, monomial_only=False):
+def _random_object(catalogue, rng, monomial_only=False):
     return random_perfect_complex(
-        catalogue.ring, rng.randrange(2**30), max_gens=max_gens,
+        catalogue.ring, rng.randrange(2**30), max_gens=6,
         steps=3, monomial_only=monomial_only,
     )
 
 
 def _suite_residue_cohomology(catalogue, seed, n):
-    instances = []
-    for index, p in enumerate(catalogue.primes):
-        witness = None
+    for p in catalogue.primes:
         try:
             residue = residue_field_object(p)
             ann_ok = residue.cohomology.annihilator().same_ideal(p.seq_ideal())
             rank_ok = generic_rank(residue.cohomology, p) == 1
-            ok = ann_ok and rank_ok
-            if not ok:
-                witness = {"prime": p.name, "annihilator_ok": ann_ok, "rank_ok": rank_ok}
         except TtgError as err:  # certificate failures are the reportable outcome
-            ok = False
-            witness = {"prime": p.name, "error": str(err)}
-        instances.append({"index": index, "ok": ok, "witness": witness})
-    return instances
+            yield {"prime": p.name, "error": str(err)}
+            continue
+        yield None if ann_ok and rank_ok else {
+            "prime": p.name, "annihilator_ok": ann_ok, "rank_ok": rank_ok,
+        }
 
 
 def _suite_even_vanishing(catalogue, seed, n):
@@ -208,148 +209,119 @@ def _suite_even_vanishing(catalogue, seed, n):
     for i in range(n):
         rng = _instance_rng(seed, i)
         cases.append(("random", random_homogeneous(catalogue.ring, rng)))
-    instances = []
-    for index, (label, f) in enumerate(cases):
-        ok = even_vanishing_check(f)
-        witness = None if ok else {"source": label, "element": str(f)}
-        instances.append({"index": index, "ok": ok, "witness": witness})
-    return instances
+    for label, f in cases:
+        yield None if even_vanishing_check(f) else {"source": label, "element": str(f)}
 
 
 def _suite_zero_action(catalogue, seed, n):
     primes = [p for p in catalogue.primes if p.sequence]
-    instances = []
     for index in range(n):
         rng = _instance_rng(seed, index)
-        x = _random_object(catalogue, rng, max_gens=6)
-        ok = True
-        witness = None
-        if primes:
-            p = rng.choice(primes)
-            depth = rng.randint(1, len(p.sequence))
-            partial = p.sequence[:depth]
-            built = koszul_object(x, partial)
-            for f in partial:
-                if not acts_as_zero_on_cohomology(f, built):
-                    ok = False
-                    witness = {
-                        "prime": p.name,
-                        "depth": depth,
-                        "element": str(f),
-                        "object": x.to_json_dict(),
-                    }
-                    break
-        instances.append({"index": index, "ok": ok, "witness": witness})
-    return instances
+        x = _random_object(catalogue, rng)
+        if not primes:
+            yield None
+            continue
+        p = rng.choice(primes)
+        depth = rng.randint(1, len(p.sequence))
+        partial = p.sequence[:depth]
+        built = koszul_object(x, partial)
+        for f in partial:
+            if not acts_as_zero_on_cohomology(f, built):
+                yield {
+                    "prime": p.name,
+                    "depth": depth,
+                    "element": str(f),
+                    "object": x.to_json_dict(),
+                }
+                break
+        else:
+            yield None
 
 
 def _suite_nakayama(catalogue, seed, n):
-    instances = []
     for index in range(n):
         rng = _instance_rng(seed, index)
-        x = _random_object(catalogue, rng, max_gens=6)
+        x = _random_object(catalogue, rng)
         base = cohomology(x)
-        ok = True
-        witness = None
         for p in catalogue.primes:
             lhs = is_zero_localized(base, p)
             rhs = is_zero_localized(cohomology(koszul_object(x, p.sequence)), p)
             if lhs != rhs:
-                ok = False
-                witness = {"prime": p.name, "lhs": lhs, "rhs": rhs,
-                           "object": x.to_json_dict()}
+                yield {"prime": p.name, "lhs": lhs, "rhs": rhs,
+                       "object": x.to_json_dict()}
                 break
-        instances.append({"index": index, "ok": ok, "witness": witness})
-    return instances
+        else:
+            yield None
 
 
-def _tensor_residue_cohomology(catalogue, x, p):
+def _tensor_residue_cohomology(x, p):
     return cohomology(tensor(x, residue_field_object(p).complex))
 
 
 def _suite_vector_space(catalogue, seed, n):
-    instances = []
     for index in range(n):
         rng = _instance_rng(seed, index)
-        x = _random_object(catalogue, rng, max_gens=6)
-        ok = True
-        witness = None
+        x = _random_object(catalogue, rng)
         for p in catalogue.primes:
-            module = _tensor_residue_cohomology(catalogue, x, p)
-            for g in p.ideal.generators:
-                if module.unkilled_generator(g) is not None:
-                    ok = False
-                    witness = {"prime": p.name, "element": str(g),
-                               "object": x.to_json_dict()}
-                    break
-            if not ok:
+            module = _tensor_residue_cohomology(x, p)
+            unkilled = next((g for g in p.ideal.generators
+                             if module.unkilled_generator(g) is not None), None)
+            if unkilled is not None:
+                yield {"prime": p.name, "element": str(unkilled),
+                       "object": x.to_json_dict()}
                 break
-        instances.append({"index": index, "ok": ok, "witness": witness})
-    return instances
+        else:
+            yield None
 
 
 def _suite_decomposition(catalogue, seed, n):
-    instances = []
     for index in range(n):
         rng = _instance_rng(seed, index)
-        x = _random_object(catalogue, rng, max_gens=6)
-        ok = True
-        witness = None
+        x = _random_object(catalogue, rng)
         for p in catalogue.primes:
-            module = _tensor_residue_cohomology(catalogue, x, p)
+            module = _tensor_residue_cohomology(x, p)
             try:
                 shifts = local_shift_multiset(module, p)
             except InputError as err:
-                ok = False
-                witness = {"prime": p.name, "error": str(err),
-                           "object": x.to_json_dict()}
+                yield {"prime": p.name, "error": str(err),
+                       "object": x.to_json_dict()}
                 break
             if len(shifts) != generic_rank(module, p):
-                ok = False
-                witness = {"prime": p.name, "shifts": shifts,
-                           "object": x.to_json_dict()}
+                yield {"prime": p.name, "shifts": shifts,
+                       "object": x.to_json_dict()}
                 break
-        instances.append({"index": index, "ok": ok, "witness": witness})
-    return instances
+        else:
+            yield None
 
 
 def _suite_detection(catalogue, seed, n):
-    instances = []
     for index in range(n):
         rng = _instance_rng(seed, index)
-        x = _random_object(catalogue, rng, max_gens=6, monomial_only=True)
+        x = _random_object(catalogue, rng, monomial_only=True)
         module = cohomology(x)
         empty = not residue_supported_primes(x, catalogue.primes)
         zero = module.is_zero()
-        ok = empty == zero
-        witness = None if ok else {
+        yield None if empty == zero else {
             "object": x.to_json_dict(), "support_empty": empty, "cohomology_zero": zero,
         }
-        instances.append({"index": index, "ok": ok, "witness": witness})
-    return instances
 
 
 def _suite_supp_agreement(catalogue, seed, n):
     cases = [catalogue.objects[name] for name in sorted(catalogue.objects)]
     for i in range(n):
         rng = _instance_rng(seed, i)
-        cases.append(_random_object(catalogue, rng, max_gens=6))
-    instances = []
-    for index, x in enumerate(cases):
+        cases.append(_random_object(catalogue, rng))
+    for x in cases:
         via = {p.name for p in residue_supported_primes(x, catalogue.primes)}
         mod = {p.name for p in module_supported_primes(cohomology(x), catalogue.primes)}
-        ok = via == mod
-        witness = None if ok else {
+        yield None if via == mod else {
             "object": x.to_json_dict(),
             "via_residue": sorted(via),
             "module_support": sorted(mod),
         }
-        instances.append({"index": index, "ok": ok, "witness": witness})
-    return instances
 
 
 def _suite_homotopy(catalogue, seed, n):
-    instances = []
     one = unit_complex(catalogue.ring)
     for index in range(n):
         rng = _instance_rng(seed, index)
@@ -358,17 +330,14 @@ def _suite_homotopy(catalogue, seed, n):
         g = central_action(f, cone(central_action(f, one)))
         defect = homotopy_defect(h, g)
         induced_zero = acts_as_zero_on_cohomology(f, cone(central_action(f, one)))
-        ok = not defect and induced_zero
-        witness = None if ok else {
+        yield None if not defect and induced_zero else {
             "element": str(f),
             "defect": [[i, j, str(p)] for i, j, p in defect],
             "induced_zero": induced_zero,
         }
-        instances.append({"index": index, "ok": ok, "witness": witness})
-    return instances
 
 
-def _build_from_residue(catalogue, p, rng, ops=5):
+def _build_from_residue(catalogue, p, rng):
     """Random object of the thick subcategory generated by K(p).
 
     Cones are taken along homogeneous elements of p itself (random monomial
@@ -378,7 +347,7 @@ def _build_from_residue(catalogue, p, rng, ops=5):
     """
     base = residue_field_object(p).complex
     current = base
-    for _ in range(rng.randint(0, ops)):
+    for _ in range(rng.randint(0, 5)):
         op = rng.choice(["shift", "sum", "cone"])
         if op == "shift":
             current = shift(current, rng.randint(-2, 2))
@@ -399,27 +368,22 @@ def _build_from_residue(catalogue, p, rng, ops=5):
 
 
 def _suite_minimality(catalogue, seed, n):
-    instances = []
     for index in range(n):
         rng = _instance_rng(seed, index)
         p = catalogue.primes[index % len(catalogue.primes)]
         built = _build_from_residue(catalogue, p, rng)
         if cohomology(built).is_zero():
-            instances.append({"index": index, "ok": False,
-                              "witness": {"prime": p.name, "error": "built object is zero"}})
+            yield {"prime": p.name, "error": "built object is zero"}
             continue
         support = catalogue.support(built)
         support_ok = support.names() == (p.name,)
         thick_ok = in_thick(catalogue, residue_field_object(p).complex, [built])
-        ok = support_ok and thick_ok
-        witness = None if ok else {
+        yield None if support_ok and thick_ok else {
             "prime": p.name,
             "support": list(support.names()),
             "generates_back": thick_ok,
             "object": built.to_json_dict(),
         }
-        instances.append({"index": index, "ok": ok, "witness": witness})
-    return instances
 
 
 SUITES = {
@@ -439,4 +403,8 @@ SUITES = {
 def run_suite(catalogue: Catalogue, name: str, seed: int, n: int) -> SuiteReport:
     if name not in SUITES:
         raise InputError(f"unknown suite {name!r}; available: {', '.join(sorted(SUITES))}")
-    return SuiteReport(name, seed, n, SUITES[name](catalogue, seed, n))
+    instances = [
+        {"index": index, "ok": witness is None, "witness": witness}
+        for index, witness in enumerate(SUITES[name](catalogue, seed, n))
+    ]
+    return SuiteReport(name, seed, n, instances)

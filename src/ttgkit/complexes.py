@@ -20,22 +20,47 @@ from functools import lru_cache
 
 from .errors import HomogeneityError, InputError, InternalError
 from .groebner import FreeContext, syzygy_module
-from .modules import GradedDimensionTable, GradedModule
+from .modules import GradedModule
 from .rings import GradedRing, Polynomial
 
 
-def _canon_rows(ring, n, entries):
-    """Normalize {(i, j): poly} into a hashable sparse row tuple."""
-    rows = [dict() for _ in range(n)]
+def _canon_rows(ring, nrows, ncols, entries, label):
+    """Normalize {(i, j): poly} into a hashable sparse row tuple.
+
+    `label` names the matrix ("differential", "chain map", "homotopy") in the
+    errors for an index outside nrows x ncols or an entry from another ring.
+    """
+    rows = [dict() for _ in range(nrows)]
     for (i, j), p in entries.items():
         if p.is_zero():
             continue
-        if not (0 <= i < n and 0 <= j < n):
-            raise InputError(f"differential entry ({i}, {j}) out of range")
+        if not (0 <= i < nrows and 0 <= j < ncols):
+            raise InputError(f"{label} entry ({i}, {j}) out of range")
         if p.ring != ring:
-            raise InputError("differential entry from a different ring")
+            raise InputError(f"{label} entry from a different ring")
         rows[i][j] = p
     return tuple(tuple(sorted(r.items())) for r in rows)
+
+
+def _map_rows(label, source, target, entries, offset):
+    """Checked rows of a map source -> target.
+
+    Entry (i, j) must be homogeneous of degree
+    source.degrees[i] - target.degrees[j] + offset.
+    """
+    if source.ring != target.ring:
+        raise InputError(f"{label} ring mismatch")
+    rows = _canon_rows(source.ring, len(source), len(target), entries, label)
+    for i, row in enumerate(rows):
+        for j, p in row:
+            expected = source.degrees[i] - target.degrees[j] + offset
+            d = p.homogeneous_degree()
+            if d is None or d != expected:
+                raise HomogeneityError(
+                    f"{label} entry ({i}, {j}) = {p} must be homogeneous "
+                    f"of degree {expected}"
+                )
+    return rows
 
 
 class PerfectComplex:
@@ -52,7 +77,7 @@ class PerfectComplex:
         self.names = tuple(names)
         if len(self.names) != n or len(set(self.names)) != n:
             raise InputError("generator names must be distinct and match degrees")
-        self.rows = _canon_rows(ring, n, entries or {})
+        self.rows = _canon_rows(ring, n, n, entries or {}, "differential")
         self._hash = None
         self._validate()
 
@@ -185,23 +210,9 @@ class ChainMap:
     __slots__ = ("source", "target", "rows")
 
     def __init__(self, source: PerfectComplex, target: PerfectComplex, entries):
-        if source.ring != target.ring:
-            raise InputError("chain map ring mismatch")
         self.source = source
         self.target = target
-        rows = [dict() for _ in range(len(source))]
-        for (i, j), p in entries.items():
-            if p.is_zero():
-                continue
-            expected = source.degrees[i] - target.degrees[j]
-            d = p.homogeneous_degree()
-            if d is None or d != expected:
-                raise HomogeneityError(
-                    f"chain map entry ({i}, {j}) = {p} must be homogeneous "
-                    f"of degree {expected}"
-                )
-            rows[i][j] = p
-        self.rows = tuple(tuple(sorted(r.items())) for r in rows)
+        self.rows = _map_rows("chain map", source, target, entries, 0)
         self._check_commutes()
 
     def _check_commutes(self):
@@ -227,19 +238,7 @@ class Homotopy:
     def __init__(self, source: PerfectComplex, target: PerfectComplex, entries):
         self.source = source
         self.target = target
-        rows = [dict() for _ in range(len(source))]
-        for (i, j), p in entries.items():
-            if p.is_zero():
-                continue
-            expected = source.degrees[i] - target.degrees[j] - 1
-            d = p.homogeneous_degree()
-            if d is None or d != expected:
-                raise HomogeneityError(
-                    f"homotopy entry ({i}, {j}) = {p} must be homogeneous "
-                    f"of degree {expected}"
-                )
-            rows[i][j] = p
-        self.rows = tuple(tuple(sorted(r.items())) for r in rows)
+        self.rows = _map_rows("homotopy", source, target, entries, -1)
 
 
 def cone(u: ChainMap) -> PerfectComplex:
@@ -357,13 +356,6 @@ def cohomology(complex_: PerfectComplex) -> GradedModule:
     return GradedModule(ring, tuple(kernel_degrees), columns)
 
 
-def cohomology_table(complex_: PerfectComplex, lo=None, hi=None) -> GradedDimensionTable:
-    window_lo, window_hi = complex_.probe_window()
-    lo = window_lo if lo is None else lo
-    hi = window_hi if hi is None else hi
-    return cohomology(complex_).dimension_table(lo, hi)
-
-
 def acts_as_zero_on_cohomology(f: Polynomial, complex_: PerfectComplex) -> bool:
     """True iff the central action of f induces zero on every cohomology class."""
     return cohomology(complex_).unkilled_generator(f) is None
@@ -449,8 +441,7 @@ def random_homogeneous(ring: GradedRing, rng: random.Random, max_degree=6,
 
 
 def random_perfect_complex(ring: GradedRing, seed: int, max_gens: int = 10,
-                           max_degree: int = 6, steps: int = 4,
-                           monomial_only: bool = False) -> PerfectComplex:
+                           steps: int = 4, monomial_only: bool = False) -> PerfectComplex:
     """Deterministic-per-seed complex built from cones, shifts, sums, tensors.
 
     Trivial bounds (max_gens <= 1 or steps <= 0) give the unit complex, the
@@ -468,7 +459,7 @@ def random_perfect_complex(ring: GradedRing, seed: int, max_gens: int = 10,
         if roll < 0.35:
             # contractible: the cone of the identity on the unit
             return cone(central_action(ring.one(), one))
-        f = random_homogeneous(ring, rng, max_degree, monomial_only)
+        f = random_homogeneous(ring, rng, monomial_only=monomial_only)
         return cone(central_action(f, one))
 
     current = block()
@@ -482,7 +473,7 @@ def random_perfect_complex(ring: GradedRing, seed: int, max_gens: int = 10,
                 current = direct_sum(current, shift(extra, rng.randint(-1, 1)))
         elif op == "koszul":
             if 2 * len(current) <= max_gens:
-                f = random_homogeneous(ring, rng, max_degree, monomial_only)
+                f = random_homogeneous(ring, rng, monomial_only=monomial_only)
                 current = cone(central_action(f, current))
         else:
             extra = block()

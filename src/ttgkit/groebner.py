@@ -468,40 +468,3 @@ def ideal_intersection(first: HomIdeal, second: HomIdeal) -> HomIdeal:
     diagonal = poly_to_vec(ring.one(), 0)
     diagonal.update(poly_to_vec(ring.one(), 1))
     return colon(rows, diagonal, FreeContext(ring, (0, 0)))
-
-
-def module_syzygies(matrix, row_degrees, col_degrees, ring: GradedRing):
-    """Generators of the kernel of the free-module map defined by the matrix.
-
-    matrix[i][j] maps source generator i (degree row_degrees[i]) into target
-    generator j (degree col_degrees[j]); each entry must be homogeneous of
-    degree row_degrees[i] - col_degrees[j], or zero.  Returns a list of
-    kernel vectors, each a tuple of polynomials over the source index.
-    """
-    row_degrees = tuple(row_degrees)
-    col_degrees = tuple(col_degrees)
-    rows = []
-    for i, row in enumerate(matrix):
-        if len(row) != len(col_degrees):
-            raise InputError(f"row {i} has {len(row)} entries, expected {len(col_degrees)}")
-        vec = {}
-        for j, entry in enumerate(row):
-            if entry.is_zero():
-                continue
-            if entry.ring != ring:
-                raise InputError("matrix entry from a different ring")
-            d = entry.homogeneous_degree()
-            if d is None or d != row_degrees[i] - col_degrees[j]:
-                raise InputError(
-                    f"entry ({i}, {j}) = {entry} is not homogeneous of degree "
-                    f"{row_degrees[i] - col_degrees[j]}"
-                )
-            for expt, c in entry.terms.items():
-                vec[(j, expt)] = c
-        rows.append(vec)
-    ctx = FreeContext(ring, col_degrees)
-    syzygies, _ = syzygy_module(rows, row_degrees, ctx)
-    out = []
-    for syz in syzygies:
-        out.append(tuple(vec_component(syz, i, ring) for i in range(len(matrix))))
-    return out

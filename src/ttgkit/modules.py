@@ -264,31 +264,9 @@ def _cancel_units(module: GradedModule) -> GradedModule:
     )
 
 
-def free_module(ring: GradedRing, degrees) -> GradedModule:
-    return GradedModule(ring, degrees)
-
-
 def quotient_module(ring: GradedRing, ideal: HomIdeal) -> GradedModule:
     """R/I as a cyclic module generated in degree zero."""
     return GradedModule(ring, (0,), [{0: g} for g in ideal.generators])
-
-
-def direct_sum_modules(first: GradedModule, second: GradedModule) -> GradedModule:
-    if first.ring != second.ring:
-        raise InputError("module ring mismatch")
-    offset = len(first.gens)
-    cols = [dict(col) for col in first.relations]
-    cols += [{i + offset: p for i, p in col} for col in second.relations]
-    return GradedModule(first.ring, first.gens + second.gens, cols)
-
-
-def shift_module(module: GradedModule, k: int) -> GradedModule:
-    """Same module with every generator degree raised by k."""
-    return GradedModule(
-        module.ring,
-        tuple(d + k for d in module.gens),
-        [dict(col) for col in module.relations],
-    )
 
 
 def is_zero_localized(module: GradedModule, prime) -> bool:

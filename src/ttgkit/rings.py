@@ -145,9 +145,6 @@ class Polynomial:
             self._lead = (expt, self.terms[expt])
         return self._lead
 
-    def coefficient(self, expt):
-        return self.terms.get(tuple(expt), self.ring.field.zero)
-
     def _check_ring(self, other):
         if self.ring != other.ring:
             raise InputError("polynomial ring mismatch")
@@ -195,16 +192,6 @@ class Polynomial:
             return self.ring.zero()
         f = self.ring.field
         return Polynomial(self.ring, {e: f.mul(c, v) for e, v in self.terms.items()})
-
-    def monic(self):
-        if not self.terms:
-            return self
-        _, lc = self.lead()
-        if lc == self.ring.field.one:
-            return self
-        inv = self.ring.field.inv(lc)
-        f = self.ring.field
-        return Polynomial(self.ring, {e: f.mul(inv, c) for e, c in self.terms.items()})
 
     def __eq__(self, other):
         return (

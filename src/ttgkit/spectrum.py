@@ -149,7 +149,7 @@ class ResidueFieldObject:
         self.cohomology = cohomology_
 
 
-def residue_field_object(prime: PrimePoint, ring: GradedRing = None) -> ResidueFieldObject:
+def residue_field_object(prime: PrimePoint) -> ResidueFieldObject:
     """Build K(p), compute its cohomology, and verify the residue contract.
 
     The cohomology must be annihilated by the prime and have generic rank one
@@ -158,8 +158,7 @@ def residue_field_object(prime: PrimePoint, ring: GradedRing = None) -> ResidueF
     """
     if prime._residue is not None:
         return prime._residue
-    ring = ring or prime.ideal.ring
-    complex_ = koszul_object(unit_complex(ring), prime.sequence)
+    complex_ = koszul_object(unit_complex(prime.ideal.ring), prime.sequence)
     module = cohomology(complex_)
     for g in prime.ideal.generators:
         if module.unkilled_generator(g) is not None:

@@ -2,8 +2,11 @@
 
 Nothing here touches the Groebner engine; membership, syzygy and Hilbert
 questions are answered by row reduction over the coefficient field, degree by
-degree, so these can referee the engine's answers.
+degree, so these can referee the engine's answers.  The two module
+constructors at the end only rearrange presentations.
 """
+
+from ttgkit.modules import GradedModule
 
 
 class ExactSpan:
@@ -164,3 +167,20 @@ def annihilator_dimension_oracle(module, degree, indices=None) -> int:
             vec.update({(i, key): c for key, c in remainder.items()})
         image.add(vec)
     return len(monomials) - image.rank
+
+
+def direct_sum_modules(first, second):
+    """M (+) N: the generators side by side, each relation on its own block."""
+    offset = len(first.gens)
+    cols = [dict(col) for col in first.relations]
+    cols += [{i + offset: p for i, p in col} for col in second.relations]
+    return GradedModule(first.ring, first.gens + second.gens, cols)
+
+
+def shift_module(module, k):
+    """The same module with every generator degree raised by k."""
+    return GradedModule(
+        module.ring,
+        tuple(d + k for d in module.gens),
+        [dict(col) for col in module.relations],
+    )

@@ -5,12 +5,12 @@ import pytest
 from ttgkit import GradedRing, HomIdeal, HomogeneityError, InputError
 from ttgkit.complexes import (
     ChainMap,
+    Homotopy,
     PerfectComplex,
     acts_as_zero_on_cohomology,
     action_null_homotopy,
     central_action,
     cohomology,
-    cohomology_table,
     cone,
     direct_sum,
     even_vanishing_check,
@@ -53,6 +53,23 @@ def test_validate_square_zero(basics):
         PerfectComplex(ring, (2, 1, 0), {(0, 1): x, (1, 2): x})
 
 
+@pytest.mark.parametrize("cls, label", [(ChainMap, "chain map"), (Homotopy, "homotopy")])
+def test_map_entries_are_range_and_ring_checked(basics, ring_f5, cls, label):
+    ring, x, y, one = basics
+    pair = direct_sum(one, one)
+    cases = [
+        (pair, {(-1, -1): ring.one()}, r"entry \(-1, -1\) out of range"),
+        (pair, {(0, 2): ring.one()}, r"entry \(0, 2\) out of range"),
+        (one, {(5, 0): ring.one()}, r"entry \(5, 0\) out of range"),
+        (one, {(0, 0): ring_f5.one()}, "entry from a different ring"),
+    ]
+    for complex_, entries, message in cases:
+        with pytest.raises(InputError, match=f"^{label} {message}$"):
+            cls(complex_, complex_, entries)
+    with pytest.raises(InputError, match=r"^differential entry \(2, 0\) out of range$"):
+        PerfectComplex(ring, (0, 0), {(2, 0): ring.one()})
+
+
 def test_shift_conventions(basics):
     ring, x, y, one = basics
     assert shift(one, 0) == one
@@ -67,7 +84,7 @@ def test_cone_examples(basics):
     ring, x, y, one = basics
     contractible = cone(central_action(ring.one(), one))
     lo, hi = contractible.probe_window()
-    assert all(d == 0 for d in cohomology_table(contractible, lo, hi).dims)
+    assert all(d == 0 for d in cohomology(contractible).dimension_table(lo, hi).dims)
     cx = cone(central_action(x, one))
     zero_map = ChainMap(cx, one, {})
     assert cone(zero_map) == direct_sum(shift(cx, 1), one)
@@ -83,8 +100,8 @@ def test_tensor_examples(basics):
     assert tensor(one, cx) == cx
     lo, hi = tensor(cx, cy).probe_window()
     assert (
-        cohomology_table(tensor(cx, cy), lo, hi).dims
-        == cohomology_table(tensor(cy, cx), lo, hi).dims
+        cohomology(tensor(cx, cy)).dimension_table(lo, hi).dims
+        == cohomology(tensor(cy, cx)).dimension_table(lo, hi).dims
     )
     hxy = cohomology(tensor(cx, cy))
     assert hxy.annihilator().same_ideal(HomIdeal(ring, [x, y]))

@@ -9,7 +9,6 @@ from ttgkit import (
     InputError,
     ideal_intersection,
     ideal_quotient,
-    module_syzygies,
 )
 from ttgkit.complexes import random_homogeneous
 from ttgkit.fields import Field
@@ -103,41 +102,6 @@ def test_ideal_quotient_soundness_random(ring_q):
         quotient = ideal_quotient(ideal, f)
         for g in quotient.generators:
             assert ideal.normal_form(g * f).is_zero()
-
-
-def test_module_syzygies_examples(ring_q):
-    x, y = ring_q.variable("x"), ring_q.variable("y")
-    syz = module_syzygies([[x], [y]], (2, 2), (0,), ring_q)
-    assert len(syz) == 1
-    a, b = syz[0]
-    assert (a * x + b * y).is_zero()
-    # identity map has no syzygies
-    assert module_syzygies([[ring_q.one()]], (0,), (0,), ring_q) == []
-    # zero row: kernel is the full free module
-    syz = module_syzygies([[ring_q.zero()]], (0,), (0,), ring_q)
-    assert len(syz) == 1 and str(syz[0][0]) == "1"
-
-
-def test_module_syzygies_kill_matrix_exactly(ring_q):
-    x, y = ring_q.variable("x"), ring_q.variable("y")
-    matrix = [[x * x, x * y], [x * y, y * y], [ring_q.zero(), x * x - y * y]]
-    rows, cols = (4, 4, 4), (0, 0)
-    syzygies = module_syzygies(matrix, rows, cols, ring_q)
-    assert syzygies
-    for syz in syzygies:
-        for j in range(2):
-            total = ring_q.zero()
-            for i in range(3):
-                total = total + syz[i] * matrix[i][j]
-            assert total.is_zero()
-
-
-def test_module_syzygies_rejects_inhomogeneous(ring_q):
-    x, y = ring_q.variable("x"), ring_q.variable("y")
-    with pytest.raises(InputError):
-        module_syzygies([[x + x * x]], (2,), (0,), ring_q)
-    with pytest.raises(InputError):
-        module_syzygies([[x]], (4,), (0,), ring_q)  # degree rule violated
 
 
 def test_ideal_intersection(ring_q):
@@ -312,3 +276,25 @@ def test_lift_divide_matches_division_identity(ring_name, request):
                 assert {k: c for k, c in lifted.items() if c != 0} == vec
                 outside += 1
     assert in_span >= 6 and outside >= 6
+
+
+@pytest.mark.parametrize("ring_name", ["ring_q", "ring_f5"])
+def test_syzygy_module_kills_rows_exactly(ring_name, request):
+    """Every returned syzygy a satisfies sum_i a_i * rows[i] = 0 exactly."""
+    ring = request.getfixturevalue(ring_name)
+    field = ring.field
+    rng = random.Random(41 if field.characteristic == 0 else 43)
+    x, y = ring.variable("x"), ring.variable("y")
+    zero = ring.zero()
+    fixed = [(x * x, x * y), (x * y, y * y), (zero, x * x - y * y), (zero, zero)]
+    cases = [((0, 0), [poly_to_vec(a, 0) | poly_to_vec(b, 1) for a, b in fixed], [4] * 4)]
+    for _ in range(6):
+        col_degrees = (0, 2)
+        row_degrees = [rng.choice([2, 4, 6]) for _ in range(rng.randint(3, 5))]
+        rows = [_random_vector(ring, rng, col_degrees, d) for d in row_degrees]
+        cases.append((col_degrees, rows, row_degrees))
+    for col_degrees, rows, row_degrees in cases:
+        syzygies, _ = syzygy_module(rows, row_degrees, FreeContext(ring, col_degrees))
+        assert syzygies
+        for syz in syzygies:
+            assert syz and _combine(syz, rows, field) == {}

@@ -8,6 +8,7 @@ import pytest
 from oracles import (
     ExactSpan,
     annihilator_dimension_oracle,
+    direct_sum_modules,
     hilbert_oracle,
     membership_oracle,
     poly_vector,
@@ -16,7 +17,7 @@ from ttgkit import HomIdeal, ideal_quotient
 from ttgkit.cli import main
 from ttgkit.classify import in_thick
 from ttgkit.complexes import cohomology, random_homogeneous, random_perfect_complex, tensor
-from ttgkit.modules import direct_sum_modules, is_zero_localized, quotient_module
+from ttgkit.modules import is_zero_localized, quotient_module
 from ttgkit.spectrum import residue_field_object
 
 GOLDEN = pathlib.Path(__file__).parent.parent / "fixtures" / "golden"

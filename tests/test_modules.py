@@ -2,19 +2,21 @@ import random
 
 import pytest
 
-from oracles import annihilator_dimension_oracle, hilbert_oracle
+from oracles import (
+    annihilator_dimension_oracle,
+    direct_sum_modules,
+    hilbert_oracle,
+    shift_module,
+)
 from ttgkit import GradedRing, HomIdeal, InputError
 from ttgkit.complexes import cohomology, random_perfect_complex
 from ttgkit.fields import Field
 from ttgkit.modules import (
     GradedModule,
-    direct_sum_modules,
-    free_module,
     generic_rank,
     is_zero_localized,
     local_shift_multiset,
     quotient_module,
-    shift_module,
 )
 from ttgkit.spectrum import PrimePoint
 
@@ -37,7 +39,7 @@ def test_annihilator_examples(setup):
     assert quotient_module(ring, HomIdeal(ring, [x])).annihilator().same_ideal(
         HomIdeal(ring, [x])
     )
-    assert free_module(ring, (0,)).annihilator().is_zero()
+    assert GradedModule(ring, (0,)).annihilator().is_zero()
     both = direct_sum_modules(
         quotient_module(ring, HomIdeal(ring, [x])),
         quotient_module(ring, HomIdeal(ring, [y])),
@@ -58,7 +60,7 @@ def test_annihilator_soundness(setup):
 def test_colon_edge_cases(setup):
     """A free module, R/(1) and a single-generator core, against the oracle."""
     ring, x, y, _ = setup
-    free = free_module(ring, (0, 2))
+    free = GradedModule(ring, (0, 2))
     assert free.annihilator().is_zero()
     assert all(t.is_zero() for t in free.transporters())
     unit = quotient_module(ring, HomIdeal(ring, [ring.one()]))
@@ -97,7 +99,7 @@ def test_relation_homogeneity_enforced(setup):
 
 def test_hilbert_examples(setup):
     ring, x, y, _ = setup
-    assert free_module(ring, (0,)).hilbert_dimension(4) == 3
+    assert GradedModule(ring, (0,)).hilbert_dimension(4) == 3
     mx = quotient_module(ring, HomIdeal(ring, [x]))
     assert mx.hilbert_dimension(1) == 0
     assert quotient_module(ring, HomIdeal(ring, [x, y])).hilbert_dimension(0) == 1
@@ -107,7 +109,7 @@ def test_hilbert_matches_rowreduction_oracle(setup):
     ring, x, y, _ = setup
     rng = random.Random(9)
     modules = [
-        free_module(ring, (0, 2)),
+        GradedModule(ring, (0, 2)),
         quotient_module(ring, HomIdeal(ring, [x])),
         quotient_module(ring, HomIdeal(ring, [x * y])),
         GradedModule(ring, (0, 2), [{0: x * x, 1: y}, {1: x * x}]),
@@ -141,7 +143,7 @@ def test_core_cancels_one_unit_entry(setup):
 def test_core_without_unit_entries_is_self(setup):
     ring, x, y, _ = setup
     for module in (
-        free_module(ring, (0, 2)),
+        GradedModule(ring, (0, 2)),
         quotient_module(ring, HomIdeal(ring, [x, y])),
         GradedModule(ring, (0, 2), [{0: x * x, 1: y}, {1: x * x}]),
     ):
@@ -202,7 +204,7 @@ def test_is_zero_localized_rank_cases_match_annihilator(setup):
 
     # At (0) the rank is taken over Frac(R) itself.
     check(quotient_module(ring, HomIdeal(ring, [x])), "p0", True)
-    check(free_module(ring, (0,)), "p0", False)
+    check(GradedModule(ring, (0,)), "p0", False)
     # R^2/(x(e0-e1), y(e0-e1)) is nonzero everywhere: its reduced matrix has
     # rank one, although at (0) and (x-y) no relation column vanishes mod p.
     diagonal = GradedModule(ring, (0, 0), [{0: x, 1: -x}, {0: y, 1: -y}])
