@@ -8,7 +8,6 @@ files are byte-stable.  Exit codes: 0 success, 1 check failure, 2 input error.
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from .classify import Catalogue, SuiteReport, classify_catalogue, run_suite
 from .complexes import PerfectComplex, cohomology, koszul_object
@@ -32,10 +31,10 @@ MAX_N = 60              # --n: instances per randomized suite, from 1
 MAX_PROBE_DEGREE = 400  # --max-degree N probes [-N, N]; a default window must fit too
 
 
-@dataclass
 class Workspace:
-    catalogue: Catalogue
-    path: str
+    def __init__(self, catalogue: Catalogue, path: str):
+        self.catalogue = catalogue
+        self.path = path
 
     def to_json_dict(self):
         ring = self.catalogue.ring
@@ -56,7 +55,8 @@ def _expect(mapping, key, kind, where):
     if not isinstance(mapping, dict) or key not in mapping:
         raise InputError(f"{where}: missing key {key!r}")
     value = mapping[key]
-    if not isinstance(value, kind):
+    # JSON true/false load as bool, a subclass of int; they are not numbers here.
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise InputError(f"{where}.{key}: expected {kind.__name__}")
     return value
 

@@ -19,3 +19,8 @@ class CertificateError(TtgError):
 
 class InternalError(TtgError):
     """An invariant the algorithms guarantee failed to hold: a bug, not bad input."""
+
+
+def frozen_attribute(self, name, *value):
+    """`__setattr__` and `__delattr__` of the immutable value classes."""
+    raise AttributeError(f"cannot {'assign to' if value else 'delete'} field {name!r}")

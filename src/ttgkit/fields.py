@@ -5,10 +5,9 @@ values in lowest terms, prime-field elements are ints stored as symmetric
 representatives in [-(p-1)/2, (p-1)/2].
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InputError
+from .errors import InputError, frozen_attribute
 
 
 # Miller-Rabin with the first 13 prime bases is exact below this bound
@@ -45,18 +44,34 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
 class Field:
-    """The ground field: Q for characteristic 0, F_p for prime p."""
+    """The ground field: Q for characteristic 0, F_p for prime p.
 
-    characteristic: int = 0
+    An immutable value: equality and hash are those of the tuple
+    (characteristic,).
+    """
 
-    def __post_init__(self):
-        c = self.characteristic
+    __slots__ = ("characteristic",)
+    __setattr__ = __delattr__ = frozen_attribute
+
+    def __init__(self, characteristic: int = 0):
+        c = characteristic
         if c < 0:
             raise InputError(f"negative characteristic {c}")
         if c != 0 and not _is_prime(c):
             raise InputError(f"characteristic {c} is not prime")
+        object.__setattr__(self, "characteristic", c)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.characteristic == other.characteristic
+
+    def __hash__(self):
+        return hash((self.characteristic,))
+
+    def __repr__(self):
+        return f"Field(characteristic={self.characteristic!r})"
 
     def coerce(self, value):
         """Normalize an int/Fraction into this field's canonical form."""

@@ -18,23 +18,36 @@ the rank route.  Both reductions are valid because all modules produced here
 are finitely generated.
 """
 
-from dataclasses import dataclass
-
-from .errors import HomogeneityError, InputError
+from .errors import HomogeneityError, InputError, frozen_attribute
 from .groebner import FreeContext, HomIdeal, SubmoduleBasis, colon
 from .rings import GradedRing, Polynomial
 
 
-@dataclass(frozen=True)
 class GradedDimensionTable:
     """Exact dimensions over an explicit degree window.
 
     Degrees outside [lo, hi] were not queried and must not be assumed zero.
+    An immutable value: equality and hash are those of (lo, hi, dims).
     """
 
-    lo: int
-    hi: int
-    dims: tuple
+    __slots__ = ("lo", "hi", "dims")
+    __setattr__ = __delattr__ = frozen_attribute
+
+    def __init__(self, lo: int, hi: int, dims: tuple):
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "dims", dims)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.lo, self.hi, self.dims) == (other.lo, other.hi, other.dims)
+
+    def __hash__(self):
+        return hash((self.lo, self.hi, self.dims))
+
+    def __repr__(self):
+        return f"GradedDimensionTable(lo={self.lo!r}, hi={self.hi!r}, dims={self.dims!r})"
 
     def dimension(self, degree: int) -> int:
         if not self.lo <= degree <= self.hi:

@@ -6,26 +6,30 @@ by total weighted degree.  Polynomials are immutable sparse term maps.
 """
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import HomogeneityError, InputError
+from .errors import HomogeneityError, InputError, frozen_attribute
 from .fields import Field
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
-@dataclass(frozen=True)
 class GradedRing:
-    field: Field
-    variables: tuple  # ordered (name, weight) pairs
+    """A field adjoined variables with positive even weights.
 
-    def __post_init__(self):
-        names = [n for n, _ in self.variables]
+    An immutable value: equality and hash are those of the tuple
+    (field, variables), with every weight normalized to int.
+    """
+
+    __slots__ = ("field", "variables", "names", "weights")
+    __setattr__ = __delattr__ = frozen_attribute
+
+    def __init__(self, field: Field, variables):
+        names = [n for n, _ in variables]
         if len(set(names)) != len(names):
             raise InputError(f"duplicate variable names in {names}")
-        for name, weight in self.variables:
+        for name, weight in variables:
             if not _IDENT.fullmatch(name):
                 raise InputError(f"bad variable name {name!r}")
             if weight <= 0:
@@ -34,17 +38,22 @@ class GradedRing:
                 )
             if weight % 2 != 0:
                 raise InputError(f"odd weight unsupported: variable {name} has weight {weight}")
-        object.__setattr__(self, "variables", tuple((n, int(w)) for n, w in self.variables))
-        object.__setattr__(self, "_names", tuple(n for n, _ in self.variables))
-        object.__setattr__(self, "_weights", tuple(w for _, w in self.variables))
+        variables = tuple((n, int(w)) for n, w in variables)
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "variables", variables)  # ordered (name, weight) pairs
+        object.__setattr__(self, "names", tuple(n for n, _ in variables))
+        object.__setattr__(self, "weights", tuple(w for _, w in variables))
 
-    @property
-    def names(self):
-        return self._names
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.field, self.variables) == (other.field, other.variables)
 
-    @property
-    def weights(self):
-        return self._weights
+    def __hash__(self):
+        return hash((self.field, self.variables))
+
+    def __repr__(self):
+        return f"GradedRing(field={self.field!r}, variables={self.variables!r})"
 
     @property
     def nvars(self) -> int:

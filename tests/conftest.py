@@ -5,7 +5,7 @@ import pytest
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
 
-from ttgkit import GradedRing, HomIdeal
+from ttgkit import GradedRing
 from ttgkit.classify import Catalogue
 from ttgkit.complexes import central_action, cone, koszul_object, unit_complex
 from ttgkit.fields import Field

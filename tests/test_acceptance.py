@@ -9,15 +9,12 @@ characteristic on the criteria that touch residue objects directly.
 import random
 import time
 
-import pytest
-
-from conftest import build_catalogue_f5, build_catalogue_q
+from conftest import build_catalogue_q
 from oracles import membership_oracle, module_degree_span, syzygy_space_dimension
 from ttgkit import GradedRing, HomIdeal
 from ttgkit.classify import in_thick, run_suite
 from ttgkit.complexes import (
     central_action,
-    cohomology,
     cone,
     direct_sum,
     random_homogeneous,

@@ -14,11 +14,9 @@ from ttgkit.complexes import (
     central_action,
     cone,
     direct_sum,
-    koszul_object,
     random_homogeneous,
     shift,
     tensor,
-    unit_complex,
 )
 
 

@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 from ttgkit.cli import (
     MAX_N,
     MAX_PROBE_DEGREE,
-    Workspace,
-    build_parser,
     emit_report,
     main,
     parse_workspace,
@@ -143,8 +141,13 @@ def _qxy_with(keys, value):
      r"primes\[1\]\.gens\[0\]: number too long at column 1$"),
     ('{"ring": {"char": ' + "1" * 5000 + ', "vars": []}}', r": unsupported JSON: "),
     ('{"ring": ' + "[" * 100000 + "]" * 100000 + "}", r": unsupported JSON: "),
+    (_qxy_with(["complexes", 0, "gens", 0, "degree"], True),
+     r"complexes\[0\]\.gens\[0\]\.degree: expected int$"),
+    (_qxy_with(["ring", "char"], True), r":ring\.char: expected int$"),
+    (_qxy_with(["ring", "vars", 0, "degree"], True), r":ring\.vars\[0\]\.degree: expected int$"),
 ], ids=["d-int", "primes-dict", "complexes-string", "exponent-huge", "coef-degree",
-        "gen-degree-high", "gen-degree-low", "number-long", "json-int-long", "json-deep"])
+        "gen-degree-high", "gen-degree-low", "number-long", "json-int-long", "json-deep",
+        "bool-gen-degree", "bool-char", "bool-var-degree"])
 def test_cli_rejects_malformed_workspace(capsys, tmp_path, text, message):
     path = tmp_path / "ws.json"
     path.write_text(text)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from ttgkit import GradedRing, HomIdeal, HomogeneityError, InputError
+from ttgkit import HomIdeal, HomogeneityError, InputError
 from ttgkit.complexes import (
     ChainMap,
     Homotopy,
@@ -23,7 +23,6 @@ from ttgkit.complexes import (
     unit_complex,
     validate,
 )
-from ttgkit.fields import Field
 
 
 @pytest.fixture(scope="module")

@@ -8,10 +8,10 @@ from oracles import (
     hilbert_oracle,
     shift_module,
 )
-from ttgkit import GradedRing, HomIdeal, InputError
+from ttgkit import HomIdeal, InputError
 from ttgkit.complexes import cohomology, random_perfect_complex
-from ttgkit.fields import Field
 from ttgkit.modules import (
+    GradedDimensionTable,
     GradedModule,
     generic_rank,
     is_zero_localized,
@@ -182,6 +182,21 @@ def test_dimension_table_window(setup):
     assert table.dims == (1, 0, 1, 0, 1)
     with pytest.raises(InputError):
         table.dimension(6)
+
+
+def test_dimension_table_value_semantics():
+    table = GradedDimensionTable(-2, 2, (0, 1, 2, 1, 0))
+    assert table == GradedDimensionTable(lo=-2, hi=2, dims=(0, 1, 2, 1, 0))
+    assert hash(table) == hash((-2, 2, (0, 1, 2, 1, 0)))
+    assert table != (-2, 2, (0, 1, 2, 1, 0))
+    assert table.__eq__((-2, 2, (0, 1, 2, 1, 0))) is NotImplemented
+    assert table != GradedDimensionTable(-2, 2, (0, 1, 2, 1, 1))
+    assert repr(table) == "GradedDimensionTable(lo=-2, hi=2, dims=(0, 1, 2, 1, 0))"
+    for action in (lambda: setattr(table, "lo", 0), lambda: setattr(table, "other", 1),
+                   lambda: delattr(table, "dims")):
+        with pytest.raises(AttributeError):
+            action()
+    assert table.to_json_dict() == {"lo": -2, "hi": 2, "dims": [0, 1, 2, 1, 0]}
 
 
 def test_is_zero_localized(setup):

@@ -2,7 +2,7 @@ import time
 
 import pytest
 
-from ttgkit import GradedRing, InputError, Polynomial
+from ttgkit import GradedRing, InputError
 from ttgkit.fields import MAX_CHARACTERISTIC, Field, _is_prime
 from ttgkit.rings import clear_denominators, format_polynomial
 
@@ -136,3 +136,40 @@ def test_hash_and_eq(ring_q):
     assert x + x == x.scale(2)
     other = GradedRing(Field(0), (("x", 2), ("y", 2)))
     assert other.variable("x") == x
+
+
+def test_field_value_semantics():
+    f = Field(5)
+    assert f == Field(5) and Field() == Field(0)
+    assert hash(f) == hash((5,))
+    assert f != (5,) and f.__eq__((5,)) is NotImplemented
+    assert len({Field(5), Field(5), Field(0)}) == 2
+    assert repr(f) == "Field(characteristic=5)"
+    assert repr(Field()) == "Field(characteristic=0)"
+    with pytest.raises(InputError, match="^negative characteristic -3$"):
+        Field(-3)
+    for action in (lambda: setattr(f, "characteristic", 7), lambda: setattr(f, "other", 1),
+                   lambda: delattr(f, "characteristic")):
+        with pytest.raises(AttributeError):
+            action()
+    assert f.characteristic == 5
+
+
+def test_graded_ring_value_semantics():
+    ring = GradedRing(field=Field(5), variables=[("x", 2.0), ("y", 4)])
+    assert ring.variables == (("x", 2), ("y", 4)) and isinstance(ring.variables, tuple)
+    assert all(type(w) is int for _, w in ring.variables)
+    assert all(type(w) is int for w in ring.weights) and ring.weights == (2, 4)
+    assert ring.names == ("x", "y")
+    assert repr(ring) == "GradedRing(field=Field(characteristic=5), variables=(('x', 2), ('y', 4)))"
+    same = GradedRing(Field(5), (("x", 2), ("y", 4)))
+    assert ring == same and hash(ring) == hash(same)
+    assert hash(ring) == hash((Field(5), (("x", 2), ("y", 4))))
+    assert ring != GradedRing(Field(0), (("x", 2), ("y", 4)))
+    assert ring != (Field(5), (("x", 2), ("y", 4)))
+    assert ring.__eq__(Field(5)) is NotImplemented
+    for action in (lambda: setattr(ring, "field", Field(0)), lambda: setattr(ring, "names", ()),
+                   lambda: setattr(ring, "other", 1), lambda: delattr(ring, "variables")):
+        with pytest.raises(AttributeError):
+            action()
+    assert ring == same

@@ -1,7 +1,7 @@
 import pytest
 
 from ttgkit import CertificateError, HomIdeal, InputError
-from ttgkit.complexes import central_action, cohomology, cone, tensor, unit_complex
+from ttgkit.complexes import cohomology, tensor, unit_complex
 from ttgkit.modules import quotient_module
 from ttgkit.spectrum import (
     PrimePoint,
