@@ -31,7 +31,7 @@ from .complexes import (
     unit_complex,
 )
 from .errors import InputError, TtgError
-from .modules import generic_rank, is_zero_localized, local_shift_multiset
+from .modules import generic_rank, is_zero_localized, local_shift_multiset, pivot_columns
 from .serialize import canonical_json, render_table
 from .spectrum import (
     SupportSet,
@@ -74,16 +74,6 @@ class Catalogue:
             cached = supp_via_residue(complex_, self.primes)
             self._support_cache[complex_] = cached
         return cached
-
-    def warn_uncatalogued(self, module) -> bool:
-        """True when a nonzero module's support misses the whole catalogue.
-
-        Such a module has a minimal prime outside the declared catalogue and
-        pointwise statements about it are incomplete.
-        """
-        if module.is_zero():
-            return False
-        return all(is_zero_localized(module, p) for p in self.primes)
 
 
 def in_thick(catalogue: Catalogue, target: PerfectComplex, generators) -> bool:
@@ -286,7 +276,9 @@ def _suite_decomposition(catalogue, seed, n):
                 yield {"prime": p.name, "error": str(err),
                        "object": x.to_json_dict()}
                 break
-            if len(shifts) != generic_rank(module, p):
+            # K(p)_p ~ k(p), so H*(X (x) K(p))_p = H*(X (x) k(p)), the cohomology of
+            # D mod p, of dimension n - 2 rank(D mod p) (derived Nakayama).
+            if len(shifts) != len(x) - 2 * len(pivot_columns(x.rows, len(x), p)):
                 yield {"prime": p.name, "shifts": shifts,
                        "object": x.to_json_dict()}
                 break

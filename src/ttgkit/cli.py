@@ -32,9 +32,8 @@ MAX_PROBE_DEGREE = 400  # --max-degree N probes [-N, N]; a default window must f
 
 
 class Workspace:
-    def __init__(self, catalogue: Catalogue, path: str):
+    def __init__(self, catalogue: Catalogue):
         self.catalogue = catalogue
-        self.path = path
 
     def to_json_dict(self):
         ring = self.catalogue.ring
@@ -159,7 +158,7 @@ def parse_workspace(path: str) -> Workspace:
         except (InputError, TtgError) as err:
             raise InputError(f"{where}: {err}") from None
 
-    return Workspace(Catalogue(ring, primes, objects), path)
+    return Workspace(Catalogue(ring, primes, objects))
 
 
 def serialize_workspace(workspace: Workspace) -> str:
@@ -232,7 +231,7 @@ def execute(args, workspace: Workspace):
             "minimal": list(support.ideal_strings()),
             "names": list(support.names()),
         }
-        if cat.warn_uncatalogued(cohomology(obj)):
+        if support.is_empty() and not cohomology(obj).is_zero():
             payload["warning"] = (
                 "annihilator has a minimal prime outside the declared catalogue"
             )

@@ -42,25 +42,58 @@ def _canon_rows(ring, nrows, ncols, entries, label):
     return tuple(tuple(sorted(r.items())) for r in rows)
 
 
-def _map_rows(label, source, target, entries, offset):
-    """Checked rows of a map source -> target.
+def _check_degrees(rows, source_degrees, target_degrees, offset, at):
+    """Require entry (i, j) homogeneous of degree source[i] - target[j] + offset.
 
-    Entry (i, j) must be homogeneous of degree
-    source.degrees[i] - target.degrees[j] + offset.
+    `at(i, j)` names the entry in the error.
     """
+    for i, row in enumerate(rows):
+        for j, p in row:
+            expected = source_degrees[i] - target_degrees[j] + offset
+            if p.homogeneous_degree() != expected:
+                raise HomogeneityError(
+                    f"{at(i, j)} = {p} must be homogeneous of degree {expected}"
+                )
+
+
+def _map_rows(label, source, target, entries, offset):
+    """Checked rows of a map source -> target of degree `offset`."""
     if source.ring != target.ring:
         raise InputError(f"{label} ring mismatch")
     rows = _canon_rows(source.ring, len(source), len(target), entries, label)
+    _check_degrees(rows, source.degrees, target.degrees, offset,
+                   lambda i, j: f"{label} entry ({i}, {j})")
+    return rows
+
+
+def _defect(terms, plain=None):
+    """Nonzero entries (i, k, p) of sum(sign * A*B for sign, A, B in terms) + plain.
+
+    A, B and plain are row matrices; A*B applies A then B.  The entries come
+    sorted by row, then column.
+    """
+    out = [dict(row) for row in plain] if plain else [{} for _ in terms[0][1]]
+    for sign, first, second in terms:
+        for i, row in enumerate(first):
+            acc = out[i]
+            for j, p in row:
+                if sign < 0:
+                    p = -p
+                for k, q in second[j]:
+                    prev = acc.get(k)
+                    pq = p * q
+                    acc[k] = pq if prev is None else prev + pq
+    nonzero = [(i, k, p) for i, acc in enumerate(out)
+               for k, p in acc.items() if not p.is_zero()]
+    nonzero.sort(key=lambda entry: entry[:2])
+    return nonzero
+
+
+def _place(entries, rows, row0=0, col0=0, sign=1):
+    """Write sign * rows into entries as the block with top-left corner (row0, col0)."""
     for i, row in enumerate(rows):
         for j, p in row:
-            expected = source.degrees[i] - target.degrees[j] + offset
-            d = p.homogeneous_degree()
-            if d is None or d != expected:
-                raise HomogeneityError(
-                    f"{label} entry ({i}, {j}) = {p} must be homogeneous "
-                    f"of degree {expected}"
-                )
-    return rows
+            entries[(i + row0, j + col0)] = p if sign == 1 else p.scale(sign)
 
 
 class PerfectComplex:
@@ -82,23 +115,15 @@ class PerfectComplex:
         self._validate()
 
     def _validate(self):
-        for i, row in enumerate(self.rows):
-            for j, p in row:
-                expected = self.degrees[i] - self.degrees[j] + 1
-                d = p.homogeneous_degree()
-                if d is None or d != expected:
-                    raise HomogeneityError(
-                        f"differential entry {self.names[i]} -> {self.names[j]} = {p} "
-                        f"must be homogeneous of degree {expected}"
-                    )
-        square = _rows_compose(self.rows, self.rows, self.ring)
-        for i, row in enumerate(square):
-            for j, p in row.items():
-                if not p.is_zero():
-                    raise InputError(
-                        f"differential does not square to zero at "
-                        f"({self.names[i]}, {self.names[j]}): {p}"
-                    )
+        names = self.names
+        _check_degrees(self.rows, self.degrees, self.degrees, 1,
+                       lambda i, j: f"differential entry {names[i]} -> {names[j]}")
+        square = _defect([(1, self.rows, self.rows)])
+        if square:
+            i, j, p = square[0]
+            raise InputError(
+                f"differential does not square to zero at ({names[i]}, {names[j]}): {p}"
+            )
 
     def entry(self, i: int, j: int) -> Polynomial:
         for k, p in self.rows[i]:
@@ -157,18 +182,6 @@ def validate(complex_: PerfectComplex) -> None:
     complex_._validate()
 
 
-def _rows_compose(first, second, ring):
-    """Apply `first` then `second`; returns dense dict-of-dicts."""
-    out = [dict() for _ in range(len(first))]
-    for i, row in enumerate(first):
-        for j, p in row:
-            for k, q in second[j]:
-                prev = out[i].get(k)
-                pq = p * q
-                out[i][k] = pq if prev is None else prev + pq
-    return out
-
-
 def unit_complex(ring: GradedRing) -> PerfectComplex:
     return PerfectComplex(ring, (0,), {}, names=("e",))
 
@@ -176,11 +189,8 @@ def unit_complex(ring: GradedRing) -> PerfectComplex:
 def shift(complex_: PerfectComplex, k: int) -> PerfectComplex:
     if k == 0:
         return complex_
-    sign = -1 if k % 2 else 1
     entries = {}
-    for i, row in enumerate(complex_.rows):
-        for j, p in row:
-            entries[(i, j)] = p.scale(sign)
+    _place(entries, complex_.rows, sign=-1 if k % 2 else 1)
     return PerfectComplex(
         complex_.ring,
         tuple(d - k for d in complex_.degrees),
@@ -194,12 +204,8 @@ def direct_sum(first: PerfectComplex, second: PerfectComplex) -> PerfectComplex:
         raise InputError("complex ring mismatch")
     n = len(first)
     entries = {}
-    for i, row in enumerate(first.rows):
-        for j, p in row:
-            entries[(i, j)] = p
-    for i, row in enumerate(second.rows):
-        for j, p in row:
-            entries[(i + n, j + n)] = p
+    _place(entries, first.rows)
+    _place(entries, second.rows, n, n)
     names = tuple(f"a.{nm}" for nm in first.names) + tuple(f"b.{nm}" for nm in second.names)
     return PerfectComplex(first.ring, first.degrees + second.degrees, entries, names=names)
 
@@ -216,18 +222,10 @@ class ChainMap:
         self._check_commutes()
 
     def _check_commutes(self):
-        ring = self.source.ring
-        left = _rows_compose(self.rows, self.target.rows, ring)
-        right = _rows_compose(self.source.rows, self.rows, ring)
-        for i in range(len(self.source)):
-            keys = set(left[i]) | set(right[i])
-            for k in keys:
-                a = left[i].get(k, ring.zero())
-                b = right[i].get(k, ring.zero())
-                if a != b:
-                    raise InputError(
-                        f"chain map does not commute with differentials at ({i}, {k})"
-                    )
+        defect = _defect([(1, self.rows, self.target.rows), (-1, self.source.rows, self.rows)])
+        if defect:
+            i, k, _ = defect[0]
+            raise InputError(f"chain map does not commute with differentials at ({i}, {k})")
 
 
 class Homotopy:
@@ -246,15 +244,9 @@ def cone(u: ChainMap) -> PerfectComplex:
     x, y = u.source, u.target
     n = len(x)
     entries = {}
-    for i, row in enumerate(x.rows):
-        for j, p in row:
-            entries[(i, j)] = -p
-    for i, row in enumerate(u.rows):
-        for j, p in row:
-            entries[(i, j + n)] = p
-    for i, row in enumerate(y.rows):
-        for j, p in row:
-            entries[(i + n, j + n)] = p
+    _place(entries, x.rows, sign=-1)
+    _place(entries, u.rows, 0, n)
+    _place(entries, y.rows, n, n)
     degrees = tuple(d - 1 for d in x.degrees) + y.degrees
     names = tuple(f"x.{nm}" for nm in x.names) + tuple(f"y.{nm}" for nm in y.names)
     return PerfectComplex(x.ring, degrees, entries, names=names)
@@ -285,10 +277,6 @@ def tensor(first: PerfectComplex, second: PerfectComplex) -> PerfectComplex:
     if first.ring != second.ring:
         raise InputError("complex ring mismatch")
     nb = len(second)
-
-    def pair(i, j):
-        return i * nb + j
-
     degrees = []
     names = []
     for i, di in enumerate(first.degrees):
@@ -299,17 +287,11 @@ def tensor(first: PerfectComplex, second: PerfectComplex) -> PerfectComplex:
     for i, row in enumerate(first.rows):
         for j in range(nb):
             for k, p in row:
-                entries[(pair(i, j), pair(k, j))] = p
+                entries[(i * nb + j, k * nb + j)] = p
+    # The diagonal blocks are disjoint from the entries above: weights are
+    # even, so no differential has a (degree 1) diagonal entry.
     for i, di in enumerate(first.degrees):
-        sign = -1 if di % 2 else 1
-        for j, row in enumerate(second.rows):
-            for l, q in row:
-                key = (pair(i, j), pair(i, l))
-                q_signed = q.scale(sign)
-                if key in entries:
-                    entries[key] = entries[key] + q_signed
-                else:
-                    entries[key] = q_signed
+        _place(entries, second.rows, i * nb, i * nb, -1 if di % 2 else 1)
     return PerfectComplex(first.ring, tuple(degrees), entries, names=tuple(names))
 
 
@@ -337,23 +319,23 @@ def cohomology(complex_: PerfectComplex) -> GradedModule:
         (pos, expt), _ = next(iter(vec.items()))
         kernel_degrees.append(ring.weighted_degree(expt) + complex_.degrees[pos])
     kernel_syzygies, lift = syzygy_module(kernel_gens, kernel_degrees, ctx)
-    columns = []
-    for syz in kernel_syzygies:
-        col = {}
-        for (alpha, expt), c in syz.items():
-            col.setdefault(alpha, {})[expt] = c
-        columns.append({alpha: Polynomial(ring, t) for alpha, t in col.items()})
-    for i, vec in enumerate(rows):
+    columns = [_column(ring, syz) for syz in kernel_syzygies]
+    for vec in rows:
         if not vec:
             continue
         remainder, coeffs = lift.divide(vec)
         if remainder:
             raise InternalError("image vector failed to lift into the kernel")
-        col = {}
-        for (alpha, expt), c in coeffs.items():
-            col.setdefault(alpha, {})[expt] = c
-        columns.append({alpha: Polynomial(ring, t) for alpha, t in col.items()})
+        columns.append(_column(ring, coeffs))
     return GradedModule(ring, tuple(kernel_degrees), columns)
+
+
+def _column(ring, vec):
+    """The free-module vector {(alpha, expt): c} as a relation column {alpha: poly}."""
+    col = {}
+    for (alpha, expt), c in vec.items():
+        col.setdefault(alpha, {})[expt] = c
+    return {alpha: Polynomial(ring, terms) for alpha, terms in col.items()}
 
 
 def acts_as_zero_on_cohomology(f: Polynomial, complex_: PerfectComplex) -> bool:
@@ -382,22 +364,7 @@ def action_null_homotopy(f: Polynomial) -> Homotopy:
 
 def homotopy_defect(h: Homotopy, g: ChainMap):
     """Entries of D*H + H*D + G; all zero iff H is a null homotopy of -G."""
-    ring = h.source.ring
-    left = _rows_compose(h.rows, h.target.rows, ring)
-    right = _rows_compose(h.source.rows, h.rows, ring)
-    out = []
-    for i in range(len(h.source)):
-        keys = set(left[i]) | set(right[i]) | {j for j, _ in g.rows[i]}
-        g_row = dict(g.rows[i])
-        for k in keys:
-            total = (
-                left[i].get(k, ring.zero())
-                + right[i].get(k, ring.zero())
-                + g_row.get(k, ring.zero())
-            )
-            if not total.is_zero():
-                out.append((i, k, total))
-    return out
+    return _defect([(1, h.rows, h.target.rows), (1, h.source.rows, h.rows)], g.rows)
 
 
 def even_vanishing_check(f: Polynomial, window=None) -> bool:

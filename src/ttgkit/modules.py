@@ -36,7 +36,7 @@ class GradedDimensionTable:
     def __init__(self, lo: int, hi: int, dims: tuple):
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
-        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "dims", tuple(dims))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -294,7 +294,7 @@ def is_zero_localized(module: GradedModule, prime) -> bool:
     """
     if len(module.relations) < len(module.gens):
         return False
-    return len(_pivot_columns(module, prime)) == len(module.gens)
+    return len(pivot_columns(module.relations, len(module.gens), prime)) == len(module.gens)
 
 
 def _require_annihilated(module: GradedModule, prime) -> None:
@@ -307,30 +307,22 @@ def _require_annihilated(module: GradedModule, prime) -> None:
             )
 
 
-def _relations_mod_prime(module: GradedModule, prime):
-    """Relation columns with entries reduced to normal forms modulo the prime."""
-    reduced = []
-    for col in module.relations:
-        entries = {}
-        for i, p in col:
-            nf = prime.ideal.normal_form(p)
-            if not nf.is_zero():
-                entries[i] = nf
-        if entries:
-            reduced.append(entries)
-    return reduced
+def pivot_columns(rows, ncols: int, prime):
+    """Pivot column indices of a matrix over the domain R/p, in increasing order.
 
-
-def _pivot_columns(module: GradedModule, prime):
-    """Pivot generator indices of the relations matrix over the domain R/p.
-
-    Fraction-free elimination: rows are combined by cross-multiplication and
-    re-reduced modulo the prime, so every zero test is exact.
+    Each row is an iterable of (column, polynomial) pairs, so module relation
+    columns and complex rows both fit.  Entries are reduced to normal forms
+    modulo the prime; fraction-free elimination then combines rows by
+    cross-multiplication and re-reduces, so every zero test is exact.
     """
-    rows = _relations_mod_prime(module, prime)
-    ncols = len(module.gens)
+    normal_form = prime.ideal.normal_form
+    zero = prime.ideal.ring.zero()
+    active = []
+    for row in rows:
+        reduced = {i: nf for i, p in row if not (nf := normal_form(p)).is_zero()}
+        if reduced:
+            active.append(reduced)
     pivots = []
-    active = list(rows)
     for j in range(ncols):
         pivot_row = None
         for r in active:
@@ -352,10 +344,8 @@ def _pivot_columns(module: GradedModule, prime):
             for i, p in r.items():
                 combined[i] = p * pj
             for i, p in pivot_row.items():
-                combined[i] = combined.get(i, module.ring.zero()) - p * rj
-            combined = {
-                i: prime.ideal.normal_form(p) for i, p in combined.items()
-            }
+                combined[i] = combined.get(i, zero) - p * rj
+            combined = {i: normal_form(p) for i, p in combined.items()}
             combined = {i: p for i, p in combined.items() if not p.is_zero()}
             if combined:
                 new_active.append(combined)
@@ -366,7 +356,7 @@ def _pivot_columns(module: GradedModule, prime):
 def generic_rank(module: GradedModule, prime) -> int:
     """Rank of a p-annihilated module over the quotient domain R/p."""
     _require_annihilated(module, prime)
-    return len(module.gens) - len(_pivot_columns(module, prime))
+    return len(module.gens) - len(pivot_columns(module.relations, len(module.gens), prime))
 
 
 def local_shift_multiset(module: GradedModule, prime):
@@ -378,6 +368,6 @@ def local_shift_multiset(module: GradedModule, prime):
     chosen by elimination (the non-pivot presentation generators).
     """
     _require_annihilated(module, prime)
-    pivots = set(_pivot_columns(module, prime))
+    pivots = set(pivot_columns(module.relations, len(module.gens), prime))
     return sorted(module.gens[i] for i in range(len(module.gens)) if i not in pivots)
 

@@ -12,7 +12,7 @@ from .complexes import PerfectComplex, cohomology, koszul_object, tensor, unit_c
 from .errors import CertificateError, InputError
 from .groebner import HomIdeal, ideal_quotient
 from .modules import GradedModule, generic_rank, is_zero_localized
-from .rings import GradedRing, require_homogeneous
+from .rings import GradedRing, Polynomial, require_homogeneous
 
 VERIFIED_MONOMIAL = "verified-monomial"
 VERIFIED_PRINCIPAL = "verified-principal"
@@ -84,7 +84,7 @@ class PrimePoint:
             raise CertificateError(
                 f"prime {name}: certificate {cert} does not witness local generation"
             )
-        point.status = _primality_status(ideal)
+        point.status = _primality_status(name, ideal)
         return point
 
     def seq_ideal(self) -> HomIdeal:
@@ -109,7 +109,7 @@ class PrimePoint:
         return f"({inner})" if inner else "(0)"
 
 
-def _primality_status(ideal: HomIdeal) -> str:
+def _primality_status(name: str, ideal: HomIdeal) -> str:
     """Machine-verifiable primality: monomial primes and low-degree principal ones.
 
     A reduced basis of distinct variables is prime structurally.  A single
@@ -117,13 +117,31 @@ def _primality_status(ideal: HomIdeal) -> str:
     weight cannot split into two positive-degree homogeneous factors, so it
     is irreducible and generates a prime in this UFD.  Anything else stays
     declared and downstream results are conditional on the declaration.
+
+    When the reduced basis is all monomials or a single element, a basis
+    element g divisible by a variable x, other than x itself, is a product
+    x * (g/x); if neither factor lies in the ideal, it is not prime.
     """
+    ring = ideal.ring
     basis = ideal.basis_polynomials()
-    if all(len(g.terms) == 1 and sum(next(iter(g.terms))) == 1 for g in basis):
+    monomial = all(len(g.terms) == 1 for g in basis)
+    for g in basis if monomial or len(basis) == 1 else ():
+        for i, x in enumerate(ring.names):
+            if not all(e[i] for e in g.terms):
+                continue
+            var = ring.variable(x)
+            rest = Polynomial(ring, {e[:i] + (e[i] - 1,) + e[i + 1:]: c
+                                     for e, c in g.terms.items()})
+            if g != var and not ideal.contains_poly(var) and not ideal.contains_poly(rest):
+                shown = f"({rest})" if len(rest.terms) > 1 else str(rest)
+                factors = x if rest == var else f"{x} or {rest}"
+                raise InputError(f"prime {name}: not a prime ideal: it contains "
+                                 f"{x}*{shown} but not {factors}")
+    if monomial and all(sum(next(iter(g.terms))) == 1 for g in basis):
         return VERIFIED_MONOMIAL
     if len(basis) == 1:
         degree = basis[0].homogeneous_degree()
-        if degree is not None and degree < 2 * min(ideal.ring.weights):
+        if degree is not None and degree < 2 * min(ring.weights):
             return VERIFIED_PRINCIPAL
     return DECLARED
 

@@ -1,8 +1,10 @@
+import inspect
 import random
+import textwrap
 
 import pytest
 
-from ttgkit import InputError
+from ttgkit import InputError, classify
 from ttgkit.classify import (
     SUITES,
     Catalogue,
@@ -18,6 +20,7 @@ from ttgkit.complexes import (
     shift,
     tensor,
 )
+from ttgkit.cli import parse_workspace
 
 
 def test_in_thick_examples(catalogue_q):
@@ -106,6 +109,25 @@ def test_run_suite_unknown_name(catalogue_q):
 def test_suites_pass_on_reference_catalogue(catalogue_q, name):
     report = run_suite(catalogue_q, name, seed=7, n=4)
     assert report.all_passed(), report.to_text()
+
+
+@pytest.mark.parametrize("fixture", ["qxy_path", "f5xyz_path"])
+def test_decomposition_mutant_fails(request, monkeypatch, fixture):
+    """The suite's count must be independent of the one it checks.
+
+    It compares the shifts of H*(X (x) K(p)) at p with n - 2 rank(D mod p).
+    A mutant of the suite that compares them with n - rank(D mod p) must
+    report failures.
+    """
+    source = textwrap.dedent(inspect.getsource(classify._suite_decomposition))
+    mutated = source.replace("2 * len(pivot_columns(", "len(pivot_columns(")
+    assert mutated != source
+    namespace = dict(vars(classify))
+    exec(compile(mutated, classify.__file__, "exec"), namespace)
+    catalogue = parse_workspace(request.getfixturevalue(fixture)).catalogue
+    assert run_suite(catalogue, "decomposition", seed=5, n=5).all_passed()
+    monkeypatch.setitem(SUITES, "decomposition", namespace["_suite_decomposition"])
+    assert run_suite(catalogue, "decomposition", seed=5, n=5).failed > 0
 
 
 def test_suite_reports_deterministic(catalogue_q):

@@ -145,9 +145,24 @@ def _qxy_with(keys, value):
      r"complexes\[0\]\.gens\[0\]\.degree: expected int$"),
     (_qxy_with(["ring", "char"], True), r":ring\.char: expected int$"),
     (_qxy_with(["ring", "vars", 0, "degree"], True), r":ring\.vars\[0\]\.degree: expected int$"),
+    (_qxy_with(["complexes", 0], {
+        "name": "bad",
+        "gens": [{"name": "a", "degree": 2}, {"name": "b", "degree": 1},
+                 {"name": "c", "degree": 0}],
+        "d": [{"from": "a", "to": "b", "coef": "x"}, {"from": "b", "to": "c", "coef": "x+y"}]}),
+     r":complexes\[0\]: differential does not square to zero at \(a, c\): x\^2\+x\*y$"),
+    (_qxy_with(["primes", 1], {"name": "px", "gens": ["x^2"], "seq": ["x^2"]}),
+     r":primes\[1\]: prime px: not a prime ideal: it contains x\*x but not x$"),
+    (_qxy_with(["primes", 1], {"name": "px", "gens": ["x*y"], "seq": ["x*y"]}),
+     r":primes\[1\]: prime px: not a prime ideal: it contains x\*y but not x or y$"),
+    (_qxy_with(["primes", 1], {"name": "px", "gens": ["x^2", "y"], "seq": ["x^2", "y"]}),
+     r":primes\[1\]: prime px: not a prime ideal: it contains x\*x but not x$"),
+    (_qxy_with(["primes", 1], {"name": "px", "gens": ["x^2+x*y"], "seq": ["x^2+x*y"]}),
+     r":primes\[1\]: prime px: not a prime ideal: it contains x\*\(x\+y\) but not x or x\+y$"),
 ], ids=["d-int", "primes-dict", "complexes-string", "exponent-huge", "coef-degree",
         "gen-degree-high", "gen-degree-low", "number-long", "json-int-long", "json-deep",
-        "bool-gen-degree", "bool-char", "bool-var-degree"])
+        "bool-gen-degree", "bool-char", "bool-var-degree", "d-squared", "nonprime-square",
+        "nonprime-product", "nonprime-monomial", "nonprime-principal"])
 def test_cli_rejects_malformed_workspace(capsys, tmp_path, text, message):
     path = tmp_path / "ws.json"
     path.write_text(text)

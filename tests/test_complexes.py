@@ -69,6 +69,18 @@ def test_map_entries_are_range_and_ring_checked(basics, ring_f5, cls, label):
         PerfectComplex(ring, (0, 0), {(2, 0): ring.one()})
 
 
+def test_chain_map_commutation_error_names_first_entry(basics):
+    ring, x, y, one = basics
+    message = r"^chain map does not commute with differentials at \(0, 1\)$"
+    cx = cone(central_action(x, one))
+    with pytest.raises(InputError, match=message):
+        ChainMap(cx, cx, {(0, 0): ring.one()})
+    # U*D - D*U fails at (0, 1) and (0, 8); the first in column order is named
+    wide = PerfectComplex(ring, (1,) + (0,) * 8, {(0, 1): x, (0, 8): y})
+    with pytest.raises(InputError, match=message):
+        ChainMap(wide, wide, {(k, k): ring.one() for k in range(1, 9)})
+
+
 def test_shift_conventions(basics):
     ring, x, y, one = basics
     assert shift(one, 0) == one
@@ -207,6 +219,12 @@ def test_action_null_homotopy_identity(basics):
         g = central_action(f, cone(central_action(f, one)))
         assert homotopy_defect(h, g) == []
         assert acts_as_zero_on_cohomology(f, cone(central_action(f, one)))
+    mapping_cone = cone(central_action(x * y, one))
+    g = central_action(x * y, mapping_cone)
+    for entries, defect in [({(1, 0): ring.one()}, [(0, 0, "2*x*y"), (1, 1, "2*x*y")]),
+                            ({}, [(0, 0, "x*y"), (1, 1, "x*y")])]:
+        wrong = Homotopy(shift(mapping_cone, -4), mapping_cone, entries)
+        assert [(i, j, str(p)) for i, j, p in homotopy_defect(wrong, g)] == defect
 
 
 def test_even_vanishing(basics):

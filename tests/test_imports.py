@@ -1,4 +1,4 @@
-"""Import hygiene: what a cold `import ttgkit.cli` loads, and no unused imports."""
+"""Import hygiene: what a cold `import ttgkit.cli` loads, no unused or private imports."""
 
 import ast
 import pathlib
@@ -41,3 +41,14 @@ def test_no_unused_imports():
     paths = [p for p in sorted((SRC / "ttgkit").glob("*.py")) if p.name != "__init__.py"]
     paths += sorted((ROOT / "tests").glob("*.py"))
     assert [hit for p in paths for hit in _unused_imports(p)] == []
+
+
+def test_no_private_cross_module_imports():
+    """No module of the package imports another module's private name."""
+    hits = []
+    for path in sorted((SRC / "ttgkit").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                hits += [f"{path.name}:{node.lineno}: {alias.name}"
+                         for alias in node.names if alias.name.startswith("_")]
+    assert hits == []

@@ -197,6 +197,10 @@ def test_dimension_table_value_semantics():
         with pytest.raises(AttributeError):
             action()
     assert table.to_json_dict() == {"lo": -2, "hi": 2, "dims": [0, 1, 2, 1, 0]}
+    listed = GradedDimensionTable(lo=0, hi=1, dims=[1, 2])
+    assert listed.dims == (1, 2)
+    assert hash(listed) == hash(GradedDimensionTable(0, 1, (1, 2)))
+    assert repr(listed) == "GradedDimensionTable(lo=0, hi=1, dims=(1, 2))"
 
 
 def test_is_zero_localized(setup):
