@@ -36,12 +36,8 @@ class Workspace:
         self.catalogue = catalogue
 
     def to_json_dict(self):
-        ring = self.catalogue.ring
         return {
-            "ring": {
-                "char": ring.field.characteristic,
-                "vars": [{"name": n, "degree": w} for n, w in ring.variables],
-            },
+            "ring": self.catalogue.ring.to_json_dict(),
             "primes": [p.to_json_dict() for p in self.catalogue.primes],
             "complexes": [
                 dict(self.catalogue.objects[name].to_json_dict(), name=name)
@@ -116,6 +112,8 @@ def parse_workspace(path: str) -> Workspace:
     for i, spec in enumerate(_optional_list(raw, "primes", f"{path}:primes")):
         where = f"{path}:primes[{i}]"
         name = _expect(spec, "name", str, where)
+        if any(p.name == name for p in primes):
+            raise InputError(f"{where}.name: duplicate prime name {name!r}")
         gens = [parse_poly(t, f"{where}.gens[{j}]")
                 for j, t in enumerate(_expect(spec, "gens", list, where))]
         seq = [parse_poly(t, f"{where}.seq[{j}]")
@@ -130,6 +128,8 @@ def parse_workspace(path: str) -> Workspace:
     for i, spec in enumerate(_optional_list(raw, "complexes", f"{path}:complexes")):
         where = f"{path}:complexes[{i}]"
         name = _expect(spec, "name", str, where)
+        if name in objects:
+            raise InputError(f"{where}.name: duplicate complex name {name!r}")
         gen_specs = _expect(spec, "gens", list, where)
         gen_names = []
         degrees = []
@@ -208,7 +208,7 @@ def execute(args, workspace: Workspace):
     command = args.command
     if command == "validate":
         return {
-            "ring": workspace.to_json_dict()["ring"],
+            "ring": cat.ring.to_json_dict(),
             "primes": [{"name": p.name, "status": p.status} for p in cat.primes],
             "complexes": sorted(cat.objects),
             "ok": True,
@@ -273,7 +273,7 @@ def execute(args, workspace: Workspace):
         return report, 0 if report.all_passed() else 1
     if command == "report":
         payload = {
-            "ring": workspace.to_json_dict()["ring"],
+            "ring": cat.ring.to_json_dict(),
             "primes": [p.to_json_dict() for p in cat.primes],
             "objects": [
                 {

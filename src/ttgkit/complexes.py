@@ -19,7 +19,7 @@ import random
 from functools import lru_cache
 
 from .errors import HomogeneityError, InputError, InternalError
-from .groebner import FreeContext, syzygy_module
+from .groebner import FreeContext, row_to_vec, syzygy_module, vec_to_row
 from .modules import GradedModule
 from .rings import GradedRing, Polynomial
 
@@ -130,14 +130,6 @@ class PerfectComplex:
             if k == j:
                 return p
         return self.ring.zero()
-
-    def row_vector(self, i: int):
-        """d(e_i) as a sparse free-module vector."""
-        vec = {}
-        for j, p in self.rows[i]:
-            for expt, c in p.terms.items():
-                vec[(j, expt)] = c
-        return vec
 
     def __len__(self):
         return len(self.degrees)
@@ -309,33 +301,22 @@ def cohomology(complex_: PerfectComplex) -> GradedModule:
     """
     ring = complex_.ring
     ctx = FreeContext(ring, complex_.degrees)
-    rows = [complex_.row_vector(i) for i in range(len(complex_))]
+    rows = [row_to_vec(row) for row in complex_.rows]
     row_degrees = [d + 1 for d in complex_.degrees]
     kernel_gens, _ = syzygy_module(rows, row_degrees, ctx)
     if not kernel_gens:
         return GradedModule(ring, ())
-    kernel_degrees = []
-    for vec in kernel_gens:
-        (pos, expt), _ = next(iter(vec.items()))
-        kernel_degrees.append(ring.weighted_degree(expt) + complex_.degrees[pos])
+    kernel_degrees = [ctx.degree(vec) for vec in kernel_gens]
     kernel_syzygies, lift = syzygy_module(kernel_gens, kernel_degrees, ctx)
-    columns = [_column(ring, syz) for syz in kernel_syzygies]
+    columns = [vec_to_row(syz, ring) for syz in kernel_syzygies]
     for vec in rows:
         if not vec:
             continue
         remainder, coeffs = lift.divide(vec)
         if remainder:
             raise InternalError("image vector failed to lift into the kernel")
-        columns.append(_column(ring, coeffs))
+        columns.append(vec_to_row(coeffs, ring))
     return GradedModule(ring, tuple(kernel_degrees), columns)
-
-
-def _column(ring, vec):
-    """The free-module vector {(alpha, expt): c} as a relation column {alpha: poly}."""
-    col = {}
-    for (alpha, expt), c in vec.items():
-        col.setdefault(alpha, {})[expt] = c
-    return {alpha: Polynomial(ring, terms) for alpha, terms in col.items()}
 
 
 def acts_as_zero_on_cohomology(f: Polynomial, complex_: PerfectComplex) -> bool:

@@ -1,14 +1,17 @@
 """Buchberger engine for homogeneous ideals and submodules of graded free modules.
 
-Vectors are sparse maps (position, exponent-tuple) -> coefficient.  The term
-order is block-wise: an optional tag block ranks strictly below the leading
-block, and inside a block terms compare by total degree (monomial weight plus
-position degree), then weighted grevlex on the monomial, then position.  The
-tag block turns one completion pass into a syzygy computation: every element
-of the augmented module keeps, in its tag coordinates, an exact expression of
-its leading-block part in terms of the original generators.  With a single
-tag position the same pass is `colon`, the one routine behind every
-transporter, ideal quotient, intersection and annihilator in the package.
+Vectors are sparse maps (position, exponent-tuple) -> coefficient; this module
+alone converts them to and from rows of (position, Polynomial) pairs.  Every
+basis vector is monic: `buchberger_module` scales each new element by its
+inverse lead coefficient, so reduction and S-vectors need no division.  The
+term order is block-wise: an optional tag block ranks strictly below the
+leading block, and inside a block terms compare by total degree (monomial
+weight plus position degree), then weighted grevlex on the monomial, then
+position.  One tagged completion serves two jobs: every element of the
+augmented module keeps, in its tag coordinates, an exact expression of its
+leading-block part in terms of the tagged rows, so `syzygy_module` tags every
+row, and `colon`, the one routine behind every transporter, ideal quotient,
+intersection and annihilator, tags a single row.
 
 Everything here is a pure function of its inputs; ideal bases are memoized in
 a process-wide table keyed by ring and generator values (concurrent fills
@@ -17,7 +20,7 @@ would recompute the identical reduced basis).
 
 import heapq
 
-from .errors import InputError
+from .errors import InputError, InternalError
 from .rings import GradedRing, Polynomial, clear_denominators, require_homogeneous
 
 
@@ -61,43 +64,37 @@ class FreeContext:
             self._neg_keys[key] = cached
         return cached
 
+    def degree(self, vec):
+        """Degree of a nonzero homogeneous vector, read off any one term."""
+        pos, expt = next(iter(vec))
+        return self.degrees[pos] + self.ring.weighted_degree(expt)
+
 
 def vec_lead(vec, ctx):
     return max(vec, key=ctx.term_key)
 
 
-def vec_scale(vec, c, field):
-    return {k: field.mul(c, v) for k, v in vec.items()}
-
-
-def vec_add_scaled(target, factor, shift, src, field):
-    """target += factor * x^shift * src, in place."""
-    for (pos, expt), c in src.items():
-        k = (pos, tuple(a + b for a, b in zip(shift, expt)))
-        s = field.add(target.get(k, field.zero), field.mul(factor, c))
-        if s == 0:
-            target.pop(k, None)
-        else:
-            target[k] = s
-
-
 class _Index:
-    """Per-position divisor lookup over a list of basis vectors."""
+    """Per-position divisor lookup over monic basis vectors."""
 
-    def __init__(self, ctx):
+    def __init__(self, ctx, vectors=()):
         self.ctx = ctx
         self.by_pos = {}
+        for vec in vectors:
+            self.add(vec)
 
     def add(self, vec):
-        pos, expt = vec_lead(vec, self.ctx)
-        coeff = vec[(pos, expt)]
-        self.by_pos.setdefault(pos, []).append((expt, coeff, vec))
+        lead = vec_lead(vec, self.ctx)
+        if vec[lead] != 1:
+            raise InternalError(f"basis vector with lead coefficient {vec[lead]}, not 1")
+        pos, expt = lead
+        self.by_pos.setdefault(pos, []).append((expt, vec))
 
     def find(self, key):
         pos, expt = key
-        for gexpt, gcoeff, gvec in self.by_pos.get(pos, ()):
+        for gexpt, gvec in self.by_pos.get(pos, ()):
             if all(a <= b for a, b in zip(gexpt, expt)):
-                return gexpt, gcoeff, gvec
+                return gexpt, gvec
         return None
 
 
@@ -123,10 +120,9 @@ def normal_form_vec(vec, index, ctx):
         if hit is None:
             out[key] = work.pop(key)
             continue
-        gexpt, gcoeff, gvec = hit
-        pos, expt = key
-        shift = tuple(a - b for a, b in zip(expt, gexpt))
-        factor = field.neg(field.div(coeff, gcoeff))
+        gexpt, gvec = hit
+        shift = tuple(a - b for a, b in zip(key[1], gexpt))
+        factor = field.neg(coeff)
         plus_one = factor == 1
         minus_one = factor == -1
         for (p2, e2), c2 in gvec.items():
@@ -150,16 +146,19 @@ def normal_form_vec(vec, index, ctx):
     return out
 
 
-def _spair(v1, v2, ctx):
-    field = ctx.ring.field
-    (p1, e1) = vec_lead(v1, ctx)
-    (p2, e2) = vec_lead(v2, ctx)
+def _spair(v1, e1, v2, e2, field):
+    """x^(lcm-e1) v1 - x^(lcm-e2) v2 for monic v1, v2 with lead exponents e1, e2."""
     lcm = tuple(max(a, b) for a, b in zip(e1, e2))
-    s = {}
-    vec_add_scaled(s, field.inv(v1[(p1, e1)]), tuple(a - b for a, b in zip(lcm, e1)), v1, field)
-    vec_add_scaled(
-        s, field.neg(field.inv(v2[(p2, e2)])), tuple(a - b for a, b in zip(lcm, e2)), v2, field
-    )
+    shift = tuple(a - b for a, b in zip(lcm, e1))
+    s = {(pos, tuple(a + b for a, b in zip(shift, e))): c for (pos, e), c in v1.items()}
+    shift = tuple(a - b for a, b in zip(lcm, e2))
+    for (pos, e), c in v2.items():
+        k = (pos, tuple(a + b for a, b in zip(shift, e)))
+        d = field.sub(s.get(k, field.zero), c)
+        if d == 0:
+            s.pop(k, None)
+        else:
+            s[k] = d
     return s
 
 
@@ -172,12 +171,13 @@ def buchberger_module(rows, ctx):
 
     def append(vec):
         lead = vec_lead(vec, ctx)
-        vec = vec_scale(vec, field.inv(vec[lead]), field)
+        inv = field.inv(vec[lead])
+        vec = {k: field.mul(inv, c) for k, c in vec.items()}
         basis.append(vec)
         leads.append(lead)
         index.add(vec)
 
-    seed = sorted((dict(r) for r in rows if r), key=lambda v: ctx.term_key(vec_lead(v, ctx)))
+    seed = sorted((r for r in rows if r), key=lambda v: ctx.term_key(vec_lead(v, ctx)))
     for row in seed:
         nf = normal_form_vec(row, index, ctx)
         if nf:
@@ -201,7 +201,7 @@ def buchberger_module(rows, ctx):
         push_pairs(heap, i)
     while heap:
         _, i, j = heapq.heappop(heap)
-        s = _spair(basis[i], basis[j], ctx)
+        s = _spair(basis[i], leads[i][1], basis[j], leads[j][1], field)
         nf = normal_form_vec(s, index, ctx)
         if nf:
             append(nf)
@@ -214,48 +214,39 @@ def _reduce_basis(basis, leads, ctx):
 
     Tails are reduced against the full minimal index: a tail term is never
     divisible by its own element's lead (the quotient would make it larger),
-    so the element itself is never used in its own reduction.
+    so the element itself is never used in its own reduction.  The output is
+    sorted by lead, like the minimal elements.
     """
     field = ctx.ring.field
-    with_leads = sorted(
-        ((ctx.term_key(lead), lead, vec) for lead, vec in zip(leads, basis)),
-        key=lambda t: t[0],
-    )
     minimal = []
-    for key, lead, vec in with_leads:
+    for lead, vec in sorted(zip(leads, basis), key=lambda t: ctx.term_key(t[0])):
         pos, expt = lead
-        dominated = False
-        for _, (mpos, mexpt), _ in minimal:
-            if mpos == pos and all(a <= b for a, b in zip(mexpt, expt)):
-                dominated = True
-                break
-        if not dominated:
-            minimal.append((key, lead, vec))
-    index = _Index(ctx)
-    for _, _, vec in minimal:
-        index.add(vec)
+        if not any(mpos == pos and all(a <= b for a, b in zip(mexpt, expt))
+                   for (mpos, mexpt), _ in minimal):
+            minimal.append((lead, vec))
+    index = _Index(ctx, [vec for _, vec in minimal])
     out = []
-    for _, lead, vec in minimal:
+    for lead, vec in minimal:
         tail = dict(vec)
-        lead_coeff = tail.pop(lead)
+        del tail[lead]
         reduced = normal_form_vec(tail, index, ctx)
-        reduced[lead] = lead_coeff
-        out.append(vec_scale(reduced, field.inv(lead_coeff), field))
-    out.sort(key=lambda v: ctx.term_key(vec_lead(v, ctx)))
+        reduced[lead] = field.one
+        out.append(reduced)
     return out
 
 
 class SubmoduleBasis:
-    """Reduced Groebner basis of a submodule, with membership helpers."""
+    """Reduced Groebner basis of a submodule, with membership helpers.
+
+    The elements must be monic, as `buchberger_module` returns them.
+    """
 
     __slots__ = ("ctx", "elements", "_index")
 
     def __init__(self, ctx, elements):
         self.ctx = ctx
         self.elements = elements
-        self._index = _Index(ctx)
-        for v in elements:
-            self._index.add(v)
+        self._index = _Index(ctx, elements)
 
     @classmethod
     def generate(cls, rows, ctx):
@@ -279,6 +270,32 @@ class SubmoduleBasis:
         return count
 
 
+def _tagged_completion(ctx, rows, tagged, tag_degrees):
+    """Complete rows and each tagged[i] + t_i, with a tag block t below ctx.
+
+    Returns (tags, span, tag_ctx): the completed elements that lie in the tag
+    block, moved to positions from 0, the elements that do not, and the
+    augmented context.  A tag-block element sum_i a_i t_i records the
+    relation sum_i a_i tagged[i] in the span of rows.
+    """
+    ncols = len(ctx.degrees)
+    tag_ctx = FreeContext(ctx.ring, ctx.degrees + tuple(tag_degrees), block=ncols)
+    zero_expt = (0,) * ctx.ring.nvars
+    aug_rows = list(rows)
+    for i, vec in enumerate(tagged):
+        row = dict(vec)
+        row[(ncols + i, zero_expt)] = ctx.ring.field.one
+        aug_rows.append(row)
+    tags = []
+    span = []
+    for vec in buchberger_module(aug_rows, tag_ctx):
+        if all(pos >= ncols for pos, _ in vec):
+            tags.append({(pos - ncols, expt): c for (pos, expt), c in vec.items()})
+        else:
+            span.append(vec)
+    return tags, span, tag_ctx
+
+
 def syzygy_module(rows, degrees, ctx_cols):
     """Kernel of the map sending e_i to rows[i], plus a division-with-lift basis.
 
@@ -287,36 +304,14 @@ def syzygy_module(rows, degrees, ctx_cols):
     sum_i a_i rows[i] = 0, and lift is a LiftBasis for expressing members of
     the row span in terms of the rows.
     """
-    ncols = len(ctx_cols.degrees)
-    aug_ctx = FreeContext(ctx_cols.ring, ctx_cols.degrees + tuple(degrees), block=ncols)
-    zero_expt = (0,) * ctx_cols.ring.nvars
-    aug_rows = []
-    for i, row in enumerate(rows):
-        aug = {(pos, expt): c for (pos, expt), c in row.items()}
-        aug[(ncols + i, zero_expt)] = ctx_cols.ring.field.one
-        aug_rows.append(aug)
-    basis = buchberger_module(aug_rows, aug_ctx)
-    syzygies = []
-    span = []
-    for vec in basis:
-        if all(pos >= ncols for pos, _ in vec):
-            syzygies.append({(pos - ncols, expt): c for (pos, expt), c in vec.items()})
-        else:
-            span.append(vec)
-    return syzygies, LiftBasis(aug_ctx, span, ncols)
+    syzygies, span, aug_ctx = _tagged_completion(ctx_cols, (), rows, degrees)
+    return syzygies, LiftBasis(aug_ctx, span)
 
 
-class LiftBasis:
-    """Division with coefficient tracking against an augmented basis."""
+class LiftBasis(SubmoduleBasis):
+    """The non-tag part of a tagged completion; the tag block starts at ctx.block."""
 
-    __slots__ = ("ctx", "ncols", "_index")
-
-    def __init__(self, aug_ctx, span, ncols):
-        self.ctx = aug_ctx
-        self.ncols = ncols
-        self._index = _Index(aug_ctx)
-        for v in span:
-            self._index.add(v)
+    __slots__ = ()
 
     def divide(self, vec):
         """vec = remainder + sum_i coeffs[i] * rows[i]; returns (remainder, coeffs).
@@ -327,13 +322,14 @@ class LiftBasis:
         tag terms it accumulates are minus the lift.
         """
         field = self.ctx.ring.field
+        ncols = self.ctx.block
         remainder = {}
         coeffs = {}
-        for (pos, expt), c in normal_form_vec(vec, self._index, self.ctx).items():
-            if pos < self.ncols:
+        for (pos, expt), c in self.normal_form(vec).items():
+            if pos < ncols:
                 remainder[(pos, expt)] = c
             else:
-                coeffs[(pos - self.ncols, expt)] = field.neg(c)
+                coeffs[(pos - ncols, expt)] = field.neg(c)
         return remainder, coeffs
 
 
@@ -342,6 +338,19 @@ class LiftBasis:
 
 def poly_to_vec(p: Polynomial, pos: int = 0):
     return {(pos, expt): c for expt, c in p.terms.items()}
+
+
+def row_to_vec(row):
+    """A row of (position, Polynomial) pairs as a sparse vector."""
+    return {(pos, expt): c for pos, p in row for expt, c in p.terms.items()}
+
+
+def vec_to_row(vec, ring):
+    """A sparse vector as a row {position: Polynomial}; inverse of row_to_vec."""
+    terms = {}
+    for (pos, expt), c in vec.items():
+        terms.setdefault(pos, {})[expt] = c
+    return {pos: Polynomial(ring, t) for pos, t in terms.items()}
 
 
 def vec_component(vec, pos, ring) -> Polynomial:
@@ -372,13 +381,11 @@ class HomIdeal:
 
     def groebner_basis(self):
         if self._basis is None:
-            key = (self.ring.key(), frozenset(self.generators))
+            key = (self.ring, frozenset(self.generators))
             cached = _GB_CACHE.get(key)
             if cached is None:
-                ctx = FreeContext(self.ring, (0,))
                 rows = [poly_to_vec(g) for g in self.generators]
-                gb = buchberger_module(rows, ctx)
-                cached = SubmoduleBasis(ctx, gb)
+                cached = SubmoduleBasis.generate(rows, FreeContext(self.ring, (0,)))
                 _GB_CACHE[key] = cached
             self._basis = cached
         return self._basis
@@ -431,19 +438,8 @@ def colon(rows, vec, ctx) -> HomIdeal:
     basis are f*t for f generating the colon (elimination; Eisenbud,
     Commutative Algebra, section 15.10).  vec must be nonzero and homogeneous.
     """
-    ring = ctx.ring
-    ncols = len(ctx.degrees)
-    pos, expt = next(iter(vec))
-    degree = ctx.degrees[pos] + ring.weighted_degree(expt)
-    tag_ctx = FreeContext(ring, ctx.degrees + (degree,), block=ncols)
-    row = dict(vec)
-    row[(ncols, (0,) * ring.nvars)] = ring.field.one
-    basis = buchberger_module(list(rows) + [row], tag_ctx)
-    return HomIdeal(ring, [
-        Polynomial(ring, {e: c for (_, e), c in v.items()})
-        for v in basis
-        if all(p == ncols for p, _ in v)
-    ])
+    tags, _, _ = _tagged_completion(ctx, rows, [vec], [ctx.degree(vec)])
+    return HomIdeal(ctx.ring, [vec_component(v, 0, ctx.ring) for v in tags])
 
 
 def ideal_quotient(ideal: HomIdeal, f: Polynomial) -> HomIdeal:
@@ -463,8 +459,7 @@ def ideal_intersection(first: HomIdeal, second: HomIdeal) -> HomIdeal:
     ring = first.ring
     if second.ring != ring:
         raise InputError("ideal ring mismatch")
-    rows = [poly_to_vec(g, 0) for g in first.generators]
-    rows += [poly_to_vec(g, 1) for g in second.generators]
-    diagonal = poly_to_vec(ring.one(), 0)
-    diagonal.update(poly_to_vec(ring.one(), 1))
+    rows = [poly_to_vec(g, pos) for pos, ideal in enumerate((first, second))
+            for g in ideal.generators]
+    diagonal = row_to_vec([(0, ring.one()), (1, ring.one())])
     return colon(rows, diagonal, FreeContext(ring, (0, 0)))

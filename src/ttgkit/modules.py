@@ -19,7 +19,7 @@ are finitely generated.
 """
 
 from .errors import HomogeneityError, InputError, frozen_attribute
-from .groebner import FreeContext, HomIdeal, SubmoduleBasis, colon
+from .groebner import FreeContext, HomIdeal, SubmoduleBasis, colon, poly_to_vec, row_to_vec
 from .rings import GradedRing, Polynomial
 
 
@@ -110,8 +110,7 @@ class GradedModule:
     # -- presentation plumbing ------------------------------------------------
 
     def relation_vectors(self):
-        return [{(i, expt): c for i, p in col for expt, c in p.terms.items()}
-                for col in self.relations]
+        return [row_to_vec(col) for col in self.relations]
 
     def relation_degrees(self):
         out = []
@@ -163,18 +162,16 @@ class GradedModule:
             return None
         basis = self.rel_basis()
         for i in range(len(self.gens)):
-            if not basis.contains({(i, expt): c for expt, c in f.terms.items()}):
+            if not basis.contains(poly_to_vec(f, i)):
                 return i
         return None
 
     def transporters(self):
         """(relations : e_i) for each generator of the given presentation."""
         basis = self.rel_basis()
-        one = self.ring.field.one
-        zero_expt = (0,) * self.ring.nvars
+        one = self.ring.one()
         return tuple(
-            colon(basis.elements, {(i, zero_expt): one}, basis.ctx)
-            for i in range(len(self.gens))
+            colon(basis.elements, poly_to_vec(one, i), basis.ctx) for i in range(len(self.gens))
         )
 
     def annihilator(self) -> HomIdeal:
@@ -190,7 +187,6 @@ class GradedModule:
             if not k:
                 self._annihilator = HomIdeal(self.ring, [self.ring.one()])
             else:
-                zero_expt = (0,) * self.ring.nvars
                 degrees = tuple(d - shift for shift in core.gens for d in core.gens)
                 relations = core.rel_basis().elements
                 rows = [
@@ -198,7 +194,7 @@ class GradedModule:
                     for i in range(k)
                     for v in relations
                 ]
-                diagonal = {(i * k + i, zero_expt): self.ring.field.one for i in range(k)}
+                diagonal = row_to_vec((i * k + i, self.ring.one()) for i in range(k))
                 self._annihilator = colon(rows, diagonal, FreeContext(self.ring, degrees))
         return self._annihilator
 

@@ -104,9 +104,11 @@ class GradedRing:
     def parse(self, text: str) -> "Polynomial":
         return parse_polynomial(self, text)
 
-    def key(self):
-        """Hashable identity used by cross-module caches."""
-        return (self.field.characteristic, self.variables)
+    def to_json_dict(self):
+        return {
+            "char": self.field.characteristic,
+            "vars": [{"name": n, "degree": w} for n, w in self.variables],
+        }
 
 
 @lru_cache(maxsize=None)

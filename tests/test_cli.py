@@ -22,7 +22,7 @@ from ttgkit.serialize import canonical_json
 FIXTURES = pathlib.Path(__file__).parent.parent / "fixtures"
 COMMAND_GOLDENS = sorted(
     p.name for p in (FIXTURES / "golden").glob("*.json")
-    if p.name.startswith(("cohomology-", "residue-"))
+    if p.name.startswith(("cohomology-", "residue-", "support-"))
 )
 
 
@@ -159,10 +159,14 @@ def _qxy_with(keys, value):
      r":primes\[1\]: prime px: not a prime ideal: it contains x\*x but not x$"),
     (_qxy_with(["primes", 1], {"name": "px", "gens": ["x^2+x*y"], "seq": ["x^2+x*y"]}),
      r":primes\[1\]: prime px: not a prime ideal: it contains x\*\(x\+y\) but not x or x\+y$"),
+    (_qxy_with(["complexes", 5, "name"], "unit"),
+     r":complexes\[5\]\.name: duplicate complex name 'unit'$"),
+    (_qxy_with(["primes", 2, "name"], "px"), r":primes\[2\]\.name: duplicate prime name 'px'$"),
 ], ids=["d-int", "primes-dict", "complexes-string", "exponent-huge", "coef-degree",
         "gen-degree-high", "gen-degree-low", "number-long", "json-int-long", "json-deep",
         "bool-gen-degree", "bool-char", "bool-var-degree", "d-squared", "nonprime-square",
-        "nonprime-product", "nonprime-monomial", "nonprime-principal"])
+        "nonprime-product", "nonprime-monomial", "nonprime-principal", "duplicate-complex",
+        "duplicate-prime"])
 def test_cli_rejects_malformed_workspace(capsys, tmp_path, text, message):
     path = tmp_path / "ws.json"
     path.write_text(text)

@@ -12,8 +12,10 @@ from ttgkit import (
 )
 from ttgkit.complexes import random_homogeneous
 from ttgkit.fields import Field
+from ttgkit.errors import InternalError
 from ttgkit.groebner import (
     FreeContext,
+    LiftBasis,
     SubmoduleBasis,
     poly_to_vec,
     syzygy_module,
@@ -75,6 +77,22 @@ def test_groebner_deterministic_and_cached(ring_q):
     b = HomIdeal(ring_q, [x * x - y * y, x * y])
     assert [str(g) for g in a.basis_polynomials()] == [str(g) for g in b.basis_polynomials()]
     assert a.groebner_basis() is b.groebner_basis()  # memoized per ideal value
+
+
+@pytest.mark.parametrize("ring_name", ["ring_q", "ring_f5"])
+def test_basis_index_requires_monic_leads(ring_name, request):
+    """Reduction divides by no lead coefficient, so every indexed vector must be monic."""
+    ring = request.getfixturevalue(ring_name)
+    x, y = ring.variable("x"), ring.variable("y")
+    ctx = FreeContext(ring, (0, 0))
+    vec = poly_to_vec(x.scale(2), 0) | poly_to_vec(y.scale(2), 1)
+    with pytest.raises(InternalError, match="lead coefficient 2, not 1"):
+        SubmoduleBasis(ctx, [vec])
+    with pytest.raises(InternalError):
+        LiftBasis(FreeContext(ring, (0, 0), block=1), [vec])
+    basis = SubmoduleBasis.generate([vec], ctx)
+    assert sorted(basis.elements[0].values()) == [1, 1]
+    assert basis.contains(vec)
 
 
 def test_ideal_contains(ring_q):

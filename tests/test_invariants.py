@@ -13,12 +13,18 @@ from oracles import (
     membership_oracle,
     poly_vector,
 )
-from ttgkit import HomIdeal, ideal_quotient
+from ttgkit import GradedRing, HomIdeal, ideal_quotient
 from ttgkit.cli import main
 from ttgkit.classify import in_thick
 from ttgkit.complexes import cohomology, random_homogeneous, random_perfect_complex, tensor
+from ttgkit.fields import Field
 from ttgkit.modules import is_zero_localized, quotient_module
-from ttgkit.spectrum import residue_field_object
+from ttgkit.spectrum import (
+    PrimePoint,
+    module_supported_primes,
+    residue_field_object,
+    residue_supported_primes,
+)
 
 GOLDEN = pathlib.Path(__file__).parent.parent / "fixtures" / "golden"
 
@@ -166,6 +172,42 @@ def test_transporters_match_oracle(request, catalogue_name):
                 assert engine == annihilator_dimension_oracle(module, degree, indices=(i,)), (
                     module, i, degree,
                 )
+
+
+REFEREE_RINGS = [
+    (2, (("x", 2), ("y", 2))),
+    (3, (("x", 2), ("y", 4))),
+    (2, (("x", 2), ("y", 2), ("z", 4))),
+    (7, (("x", 2), ("y", 2), ("z", 2))),
+    (0, (("x", 2), ("y", 4), ("z", 6))),
+    (3, (("x", 4), ("y", 6))),
+]
+
+
+@pytest.mark.parametrize("char, variables", REFEREE_RINGS)
+def test_multi_ring_referee_sweep(char, variables):
+    """Hilbert function, residue supports and Ann M refereed over rings and
+    characteristics that no fixture covers; the catalogue is every monomial
+    prime (x_i : i in S), the zero ideal included."""
+    ring = GradedRing(Field(char), variables)
+    primes = []
+    for mask in range(2 ** ring.nvars):
+        gens = [ring.variable(n) for i, n in enumerate(ring.names) if mask >> i & 1]
+        primes.append(PrimePoint.create(ring, f"m{mask}", gens, gens))
+    for seed in range(10):
+        x = random_perfect_complex(ring, seed, max_gens=6, steps=3)
+        module = cohomology(x)
+        lo, hi = x.probe_window()
+        for degree in range(lo, hi + 1):
+            assert module.hilbert_dimension(degree) == hilbert_oracle(module, degree), (
+                seed, degree,
+            )
+        assert residue_supported_primes(x, primes) == module_supported_primes(module, primes), seed
+        basis = module.annihilator().groebner_basis()
+        for degree in range(0, 9):
+            engine = (len(ring.monomials_of_weight(degree))
+                      - basis.standard_monomial_count(degree))
+            assert engine == annihilator_dimension_oracle(module, degree), (seed, degree)
 
 
 def test_in_thick_transitive(catalogue_q):
