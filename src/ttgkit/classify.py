@@ -80,14 +80,13 @@ def in_thick(catalogue: Catalogue, target: PerfectComplex, generators) -> bool:
     """Membership of the target in the thick subcategory the generators build.
 
     True iff the support of the target sits inside the union of the
-    generators' supports; valid under the classification hypotheses.
+    generators' supports; valid under the classification hypotheses.  The
+    union is left unminimized: containment in a non-minimal member implies
+    containment in a minimal one below it, so the answer is the same.
     """
-    members = []
-    for g in generators:
-        members.extend(catalogue.support(g).members)
-    universe = tuple(sorted(p.name for p in catalogue.primes))
-    union = SupportSet.from_members(members, universe)
-    return support_contains(union, catalogue.support(target))
+    members = [p for g in generators for p in catalogue.support(g).members]
+    inner = catalogue.support(target)
+    return support_contains(SupportSet(inner.universe, members), inner)
 
 
 def classify_catalogue(catalogue: Catalogue) -> dict:

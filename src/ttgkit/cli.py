@@ -120,9 +120,17 @@ def parse_workspace(path: str) -> Workspace:
                for j, t in enumerate(_expect(spec, "seq", list, where))]
         cert = parse_poly(spec.get("cert", "1"), f"{where}.cert")
         try:
-            primes.append(PrimePoint.create(ring, name, gens, seq, cert))
+            point = PrimePoint.create(ring, name, gens, seq, cert)
         except (InputError, CertificateError) as err:
             raise InputError(f"{where}: {err}") from None
+        # H*(K(seq)) = R/(seq) for a regular sequence, so K(p) is a residue
+        # object only when the sequence generates p.
+        missing = next((g for g in point.ideal.generators
+                        if not point.seq_ideal().contains_poly(g)), None)
+        if missing is not None:
+            raise InputError(f"{where}: prime {name}: the sequence does not generate "
+                             f"the prime: {missing} is not in {point.seq_ideal()!r}")
+        primes.append(point)
 
     objects = {}
     for i, spec in enumerate(_optional_list(raw, "complexes", f"{path}:complexes")):
@@ -297,26 +305,29 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--input", required=True, help="workspace JSON file")
     common.add_argument("--format", choices=["json", "text"], default="json")
-    common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--n", type=int, default=25,
-                        help=f"instances per randomized suite, 1 to {MAX_N}")
-    common.add_argument("--max-degree", type=int, default=None, dest="max_degree",
+    window = argparse.ArgumentParser(add_help=False)
+    window.add_argument("--max-degree", type=int, default=None, dest="max_degree",
                         help="override the Hilbert probe window to [-N, N], "
                              f"0 <= N <= {MAX_PROBE_DEGREE}")
+    # `_check_budgets` reads both budgets, also on commands without the flags.
+    parser.set_defaults(n=25, max_degree=None)
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("validate", parents=[common])
-    p = sub.add_parser("cohomology", parents=[common])
+    p = sub.add_parser("cohomology", parents=[common, window])
     p.add_argument("name")
     p = sub.add_parser("support", parents=[common])
     p.add_argument("name")
-    p = sub.add_parser("koszul", parents=[common])
+    p = sub.add_parser("koszul", parents=[common, window])
     p.add_argument("name")
     p.add_argument("elements", nargs="+", help="homogeneous polynomial strings")
-    p = sub.add_parser("residue", parents=[common])
+    p = sub.add_parser("residue", parents=[common, window])
     p.add_argument("name")
     sub.add_parser("classify", parents=[common])
     p = sub.add_parser("check", parents=[common])
     p.add_argument("suite")
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--n", type=int, default=25,
+                   help=f"instances per randomized suite, 1 to {MAX_N}")
     sub.add_parser("report", parents=[common])
     return parser
 

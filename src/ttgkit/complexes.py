@@ -304,8 +304,6 @@ def cohomology(complex_: PerfectComplex) -> GradedModule:
     rows = [row_to_vec(row) for row in complex_.rows]
     row_degrees = [d + 1 for d in complex_.degrees]
     kernel_gens, _ = syzygy_module(rows, row_degrees, ctx)
-    if not kernel_gens:
-        return GradedModule(ring, ())
     kernel_degrees = [ctx.degree(vec) for vec in kernel_gens]
     kernel_syzygies, lift = syzygy_module(kernel_gens, kernel_degrees, ctx)
     columns = [vec_to_row(syz, ring) for syz in kernel_syzygies]

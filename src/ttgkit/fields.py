@@ -116,6 +116,3 @@ class Field:
         if self.characteristic == 0:
             return 1 / Fraction(a)
         return self._sym(pow(int(a) % self.characteristic, -1, self.characteristic))
-
-    def div(self, a, b):
-        return a / b if self.characteristic == 0 else self.mul(a, self.inv(b))

@@ -69,7 +69,7 @@ class GradedModule:
     colon per generator, and the localization rank) keep the given generators.
     """
 
-    __slots__ = ("ring", "gens", "relations", "_rel_basis", "_core", "_annihilator", "_hash")
+    __slots__ = ("ring", "gens", "relations", "_rel_basis", "_core", "_annihilator")
 
     def __init__(self, ring: GradedRing, gens, relations=()):
         self.ring = ring
@@ -105,7 +105,6 @@ class GradedModule:
         self._rel_basis = None
         self._core = None
         self._annihilator = None
-        self._hash = None
 
     # -- presentation plumbing ------------------------------------------------
 
@@ -131,19 +130,6 @@ class GradedModule:
             self._core = _cancel_units(self)
             self._core._core = self._core
         return self._core
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GradedModule)
-            and self.ring == other.ring
-            and self.gens == other.gens
-            and self.relations == other.relations
-        )
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.ring, self.gens, self.relations))
-        return self._hash
 
     def __repr__(self):
         return f"GradedModule(gens={self.gens}, relations={len(self.relations)})"
@@ -200,14 +186,7 @@ class GradedModule:
 
     def hilbert_dimension(self, degree: int) -> int:
         """Exact k-dimension of the degree component, via standard monomials of the core."""
-        core = self.core()
-        if not core.gens:
-            return 0
-        if not core.relations:
-            return sum(
-                len(self.ring.monomials_of_weight(degree - d)) for d in core.gens
-            )
-        return core.rel_basis().standard_monomial_count(degree)
+        return self.core().rel_basis().standard_monomial_count(degree)
 
     def dimension_table(self, lo: int, hi: int) -> GradedDimensionTable:
         return GradedDimensionTable(

@@ -129,13 +129,12 @@ def _monomials_of_weight(weights, degree):
 class Polynomial:
     """Immutable sparse polynomial: dict from exponent tuple to coefficient."""
 
-    __slots__ = ("ring", "terms", "_hash", "_lead")
+    __slots__ = ("ring", "terms", "_hash")
 
     def __init__(self, ring, terms):
         self.ring = ring
         self.terms = terms
         self._hash = None
-        self._lead = None
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -151,10 +150,10 @@ class Polynomial:
 
     def lead(self):
         """(exponent, coefficient) of the leading term; None for zero."""
-        if self._lead is None and self.terms:
-            expt = max(self.terms, key=self.ring.monomial_key)
-            self._lead = (expt, self.terms[expt])
-        return self._lead
+        if not self.terms:
+            return None
+        expt = max(self.terms, key=self.ring.monomial_key)
+        return expt, self.terms[expt]
 
     def _check_ring(self, other):
         if self.ring != other.ring:

@@ -158,11 +158,9 @@ def check_local_generation(prime: PrimePoint) -> bool:
 class ResidueFieldObject:
     """The Koszul object of the unit on a prime's chosen regular sequence."""
 
-    __slots__ = ("prime", "complex", "cohomology")
+    __slots__ = ("complex", "cohomology")
 
-    def __init__(self, prime: PrimePoint, complex_: PerfectComplex,
-                 cohomology_: GradedModule):
-        self.prime = prime
+    def __init__(self, complex_: PerfectComplex, cohomology_: GradedModule):
         self.complex = complex_
         self.cohomology = cohomology_
 
@@ -190,7 +188,7 @@ def residue_field_object(prime: PrimePoint) -> ResidueFieldObject:
             f"prime {prime.name}: invalid certificate, residue cohomology has "
             f"generic rank {rank}"
         )
-    prime._residue = ResidueFieldObject(prime, complex_, module)
+    prime._residue = ResidueFieldObject(complex_, module)
     return prime._residue
 
 
@@ -228,16 +226,6 @@ class SupportSet:
 
     def is_empty(self) -> bool:
         return not self.members
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SupportSet)
-            and self.universe == other.universe
-            and self.names() == other.names()
-        )
-
-    def __hash__(self):
-        return hash((self.universe, self.names()))
 
     def __repr__(self):
         return f"SupportSet{self.names()}"

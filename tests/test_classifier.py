@@ -14,13 +14,16 @@ from ttgkit.classify import (
 )
 from ttgkit.complexes import (
     central_action,
+    cohomology,
     cone,
     direct_sum,
     random_homogeneous,
+    random_perfect_complex,
     shift,
     tensor,
 )
 from ttgkit.cli import parse_workspace
+from ttgkit.spectrum import module_supported_primes
 
 
 def test_in_thick_examples(catalogue_q):
@@ -70,6 +73,45 @@ def test_closure_soundness_seeded(catalogue_q):
                 if len(built) * len(other) <= 12:
                     built = tensor(built, other)
         assert in_thick(cat, built, gens)
+
+
+def _in_thick_disagreements(cat, membership):
+    """Seeded draws where `membership` differs from the module-route referee.
+
+    The pool is the named objects plus 12 random complexes; each of 60 draws
+    asks for a target in the thick subcategory of one to three generators.
+    The referee is the subset test on the pointwise supports that the
+    annihilator route gives, as in the thick-reuse-q benchmark.
+    """
+    pool = [cat.objects[name] for name in sorted(cat.objects)]
+    pool += [random_perfect_complex(cat.ring, seed, max_gens=6, steps=3)
+             for seed in range(12)]
+    supports = [{p.name for p in module_supported_primes(cohomology(x), cat.primes)}
+                for x in pool]
+    rng = random.Random(2024)
+    answers, wrong = [], []
+    for draw in range(60):
+        target = rng.randrange(len(pool))
+        gens = [rng.randrange(len(pool)) for _ in range(rng.randint(1, 3))]
+        answer = membership(cat, pool[target], [pool[g] for g in gens])
+        answers.append(answer)
+        if answer != (supports[target] <= set().union(*(supports[g] for g in gens))):
+            wrong.append((draw, target, gens, answer))
+    assert True in answers and False in answers
+    return wrong
+
+
+@pytest.mark.parametrize("fixture", ["catalogue_q", "catalogue_f5"])
+def test_in_thick_seeded_referee(request, fixture):
+    """`in_thick` agrees with the referee, and a mutant that drops the first
+    generator's supports does not."""
+    cat = request.getfixturevalue(fixture)
+    assert _in_thick_disagreements(cat, in_thick) == []
+
+    def mutant(catalogue, target, generators):
+        return in_thick(catalogue, target, generators[1:])
+
+    assert _in_thick_disagreements(cat, mutant) != []
 
 
 def test_classify_catalogue(catalogue_q):

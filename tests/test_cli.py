@@ -24,6 +24,10 @@ COMMAND_GOLDENS = sorted(
     p.name for p in (FIXTURES / "golden").glob("*.json")
     if p.name.startswith(("cohomology-", "residue-", "support-"))
 )
+SUMMARY_GOLDENS = sorted(
+    p.name for p in (FIXTURES / "golden").iterdir()
+    if p.name.startswith(("classify-", "report-", "validate-"))
+)
 
 
 def run_cli(capsys, *argv):
@@ -162,11 +166,14 @@ def _qxy_with(keys, value):
     (_qxy_with(["complexes", 5, "name"], "unit"),
      r":complexes\[5\]\.name: duplicate complex name 'unit'$"),
     (_qxy_with(["primes", 2, "name"], "px"), r":primes\[2\]\.name: duplicate prime name 'px'$"),
+    (_qxy_with(["primes", 1], {"name": "px", "gens": ["x"], "seq": ["x^2+x*y"], "cert": "x+y"}),
+     r":primes\[1\]: prime px: the sequence does not generate the prime: "
+     r"x is not in \(x\^2\+x\*y\)$"),
 ], ids=["d-int", "primes-dict", "complexes-string", "exponent-huge", "coef-degree",
         "gen-degree-high", "gen-degree-low", "number-long", "json-int-long", "json-deep",
         "bool-gen-degree", "bool-char", "bool-var-degree", "d-squared", "nonprime-square",
         "nonprime-product", "nonprime-monomial", "nonprime-principal", "duplicate-complex",
-        "duplicate-prime"])
+        "duplicate-prime", "sequence-not-generating"])
 def test_cli_rejects_malformed_workspace(capsys, tmp_path, text, message):
     path = tmp_path / "ws.json"
     path.write_text(text)
@@ -375,6 +382,21 @@ def test_cli_budgets_reject_before_algebra(capsys, qxy_path, argv, message):
     assert re.search(message, err), err
 
 
+@pytest.mark.parametrize("argv", [
+    ["validate", "--n", "0"],
+    ["support", "cx", "--max-degree", "3"],
+    ["classify", "--seed", "1"],
+    ["report", "--n", "5"],
+], ids=["validate-n", "support-max-degree", "classify-seed", "report-n"])
+def test_cli_rejects_flags_the_command_does_not_read(capsys, qxy_path, argv):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv + ["--input", qxy_path])
+    captured = capsys.readouterr()
+    assert exit_.value.code == 2
+    assert captured.out == ""
+    assert "unrecognized arguments" in captured.err
+
+
 def test_cli_budget_limits_are_accepted(capsys, qxy_path, tmp_path):
     path = tmp_path / "edge.json"
     path.write_text(_qxy_with(["complexes", 2], {
@@ -399,6 +421,17 @@ def test_cli_budget_limits_are_accepted(capsys, qxy_path, tmp_path):
 def test_command_goldens(capsys, golden):
     command, fixture, name = golden[: -len(".json")].split("-")
     code, out, err = run_cli(capsys, command, name, "--input",
+                             str(FIXTURES / f"{fixture}.json"))
+    assert code == 0, err
+    assert out == (FIXTURES / "golden" / golden).read_text()
+
+
+@pytest.mark.parametrize("golden", SUMMARY_GOLDENS)
+def test_summary_goldens(capsys, golden):
+    stem, ext = golden.split(".")
+    command, fixture = stem.split("-")
+    fmt = {"json": "json", "txt": "text"}[ext]
+    code, out, err = run_cli(capsys, command, "--format", fmt, "--input",
                              str(FIXTURES / f"{fixture}.json"))
     assert code == 0, err
     assert out == (FIXTURES / "golden" / golden).read_text()

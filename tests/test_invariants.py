@@ -186,9 +186,10 @@ REFEREE_RINGS = [
 
 @pytest.mark.parametrize("char, variables", REFEREE_RINGS)
 def test_multi_ring_referee_sweep(char, variables):
-    """Hilbert function, residue supports and Ann M refereed over rings and
-    characteristics that no fixture covers; the catalogue is every monomial
-    prime (x_i : i in S), the zero ideal included."""
+    """Hilbert function, residue supports, the rank route on the plain
+    cohomology and Ann M refereed over rings and characteristics that no
+    fixture covers; the catalogue is every monomial prime (x_i : i in S), the
+    zero ideal included."""
     ring = GradedRing(Field(char), variables)
     primes = []
     for mask in range(2 ** ring.nvars):
@@ -202,7 +203,10 @@ def test_multi_ring_referee_sweep(char, variables):
             assert module.hilbert_dimension(degree) == hilbert_oracle(module, degree), (
                 seed, degree,
             )
-        assert residue_supported_primes(x, primes) == module_supported_primes(module, primes), seed
+        annihilator_route = module_supported_primes(module, primes)
+        assert residue_supported_primes(x, primes) == annihilator_route, seed
+        rank_route = [p for p in primes if not is_zero_localized(module, p)]
+        assert rank_route == annihilator_route, seed
         basis = module.annihilator().groebner_basis()
         for degree in range(0, 9):
             engine = (len(ring.monomials_of_weight(degree))
