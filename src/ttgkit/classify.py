@@ -180,9 +180,9 @@ def _suite_residue_cohomology(catalogue, seed, n):
     for p in catalogue.primes:
         try:
             residue = residue_field_object(p)
-            ann_ok = residue.cohomology.annihilator().same_ideal(p.seq_ideal())
+            ann_ok = residue.cohomology.annihilator().same_ideal(p.ideal)
             rank_ok = generic_rank(residue.cohomology, p) == 1
-        except TtgError as err:  # certificate failures are the reportable outcome
+        except TtgError as err:  # a failed build or rank is the reportable outcome
             yield {"prime": p.name, "error": str(err)}
             continue
         yield None if ann_ok and rank_ok else {

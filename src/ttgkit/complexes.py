@@ -13,10 +13,15 @@ Conventions, fixed once:
     [[-D_X, u], [0, D_Y]] in row-per-source form.
 Under these choices the explicit null homotopy of a central action on its
 own cone satisfies D*H + H*D = -G exactly; see action_null_homotopy.
+
+`PerfectComplex(...)` and `ChainMap(...)` check every input.  The
+constructors below build from valid inputs, where homogeneity, d^2 = 0 and
+commutation hold by construction, and check only their arguments.
 """
 
 import random
 from functools import lru_cache
+from operator import itemgetter
 
 from .errors import HomogeneityError, InputError, InternalError
 from .groebner import FreeContext, row_to_vec, syzygy_module, vec_to_row
@@ -89,11 +94,16 @@ def _defect(terms, plain=None):
     return nonzero
 
 
-def _place(entries, rows, row0=0, col0=0, sign=1):
-    """Write sign * rows into entries as the block with top-left corner (row0, col0)."""
-    for i, row in enumerate(rows):
-        for j, p in row:
-            entries[(i + row0, j + col0)] = p if sign == 1 else p.scale(sign)
+def _fill(obj, *fields):
+    """Store fields in the slots of obj, in slot order, and return obj."""
+    for slot, value in zip(type(obj).__slots__, fields, strict=True):
+        setattr(obj, slot, value)
+    return obj
+
+
+def _moved(row, col0=0, negate=False):
+    """A canonical row with every column moved by col0, negated on request."""
+    return tuple((j + col0, -p if negate else p) for j, p in row)
 
 
 class PerfectComplex:
@@ -102,16 +112,13 @@ class PerfectComplex:
     __slots__ = ("ring", "degrees", "names", "rows", "_hash")
 
     def __init__(self, ring: GradedRing, degrees, entries=None, names=None):
-        self.ring = ring
-        self.degrees = tuple(int(d) for d in degrees)
-        n = len(self.degrees)
-        if names is None:
-            names = tuple(f"g{i}" for i in range(n))
-        self.names = tuple(names)
-        if len(self.names) != n or len(set(self.names)) != n:
+        degrees = tuple(int(d) for d in degrees)
+        n = len(degrees)
+        names = tuple(f"g{i}" for i in range(n)) if names is None else tuple(names)
+        if len(names) != n or len(set(names)) != n:
             raise InputError("generator names must be distinct and match degrees")
-        self.rows = _canon_rows(ring, n, n, entries or {}, "differential")
-        self._hash = None
+        rows = _canon_rows(ring, n, n, entries or {}, "differential")
+        _fill(self, ring, degrees, names, rows, None)
         self._validate()
 
     def _validate(self):
@@ -170,36 +177,37 @@ class PerfectComplex:
 
 
 def validate(complex_: PerfectComplex) -> None:
-    """Re-run the construction checks (homogeneity and d^2 = 0)."""
+    """Run the checks of the public constructor (homogeneity and d^2 = 0)."""
     complex_._validate()
 
 
+def _complex(ring, degrees, names, rows) -> PerfectComplex:
+    """A complex on canonical rows (sorted by column, no zero entries) that are
+    valid by construction, so it skips the checks of `PerfectComplex`."""
+    return _fill(PerfectComplex.__new__(PerfectComplex), ring, degrees, names, rows, None)
+
+
 def unit_complex(ring: GradedRing) -> PerfectComplex:
-    return PerfectComplex(ring, (0,), {}, names=("e",))
+    return _complex(ring, (0,), ("e",), ((),))
 
 
 def shift(complex_: PerfectComplex, k: int) -> PerfectComplex:
     if k == 0:
         return complex_
-    entries = {}
-    _place(entries, complex_.rows, sign=-1 if k % 2 else 1)
-    return PerfectComplex(
-        complex_.ring,
-        tuple(d - k for d in complex_.degrees),
-        entries,
-        names=complex_.names,
-    )
+    rows = complex_.rows
+    if k % 2:
+        rows = tuple(_moved(row, negate=True) for row in rows)
+    return _complex(complex_.ring, tuple(d - k for d in complex_.degrees),
+                    complex_.names, rows)
 
 
 def direct_sum(first: PerfectComplex, second: PerfectComplex) -> PerfectComplex:
     if first.ring != second.ring:
         raise InputError("complex ring mismatch")
     n = len(first)
-    entries = {}
-    _place(entries, first.rows)
-    _place(entries, second.rows, n, n)
+    rows = first.rows + tuple(_moved(row, n) for row in second.rows)
     names = tuple(f"a.{nm}" for nm in first.names) + tuple(f"b.{nm}" for nm in second.names)
-    return PerfectComplex(first.ring, first.degrees + second.degrees, entries, names=names)
+    return _complex(first.ring, first.degrees + second.degrees, names, rows)
 
 
 class ChainMap:
@@ -208,9 +216,7 @@ class ChainMap:
     __slots__ = ("source", "target", "rows")
 
     def __init__(self, source: PerfectComplex, target: PerfectComplex, entries):
-        self.source = source
-        self.target = target
-        self.rows = _map_rows("chain map", source, target, entries, 0)
+        _fill(self, source, target, _map_rows("chain map", source, target, entries, 0))
         self._check_commutes()
 
     def _check_commutes(self):
@@ -226,22 +232,18 @@ class Homotopy:
     __slots__ = ("source", "target", "rows")
 
     def __init__(self, source: PerfectComplex, target: PerfectComplex, entries):
-        self.source = source
-        self.target = target
-        self.rows = _map_rows("homotopy", source, target, entries, -1)
+        _fill(self, source, target, _map_rows("homotopy", source, target, entries, -1))
 
 
 def cone(u: ChainMap) -> PerfectComplex:
     """Mapping cone: shift(source, 1) ++ target, blocks [[-D_X, u], [0, D_Y]]."""
     x, y = u.source, u.target
     n = len(x)
-    entries = {}
-    _place(entries, x.rows, sign=-1)
-    _place(entries, u.rows, 0, n)
-    _place(entries, y.rows, n, n)
+    rows = tuple(_moved(dx, negate=True) + _moved(ux, n) for dx, ux in zip(x.rows, u.rows))
+    rows += tuple(_moved(row, n) for row in y.rows)
     degrees = tuple(d - 1 for d in x.degrees) + y.degrees
     names = tuple(f"x.{nm}" for nm in x.names) + tuple(f"y.{nm}" for nm in y.names)
-    return PerfectComplex(x.ring, degrees, entries, names=names)
+    return _complex(x.ring, degrees, names, rows)
 
 
 def central_action(f: Polynomial, complex_: PerfectComplex) -> ChainMap:
@@ -251,9 +253,12 @@ def central_action(f: Polynomial, complex_: PerfectComplex) -> ChainMap:
         if f.is_zero():
             return ChainMap(complex_, complex_, {})
         raise HomogeneityError(f"central action of inhomogeneous element {f}")
-    source = shift(complex_, -d)
-    entries = {(i, i): f for i in range(len(complex_))}
-    return ChainMap(source, complex_, entries)
+    if f.ring != complex_.ring:
+        raise InputError("chain map entry from a different ring")
+    # f is central and of degree d, so f * I commutes with the differential
+    # and is homogeneous of degree zero as a map shift(X, -d) -> X.
+    rows = tuple(((i, f),) for i in range(len(complex_)))
+    return _fill(ChainMap.__new__(ChainMap), shift(complex_, -d), complex_, rows)
 
 
 def koszul_object(complex_: PerfectComplex, sequence) -> PerfectComplex:
@@ -271,20 +276,18 @@ def tensor(first: PerfectComplex, second: PerfectComplex) -> PerfectComplex:
     nb = len(second)
     degrees = []
     names = []
-    for i, di in enumerate(first.degrees):
+    rows = []
+    for i, (di, row) in enumerate(zip(first.degrees, first.rows)):
         for j, dj in enumerate(second.degrees):
             degrees.append(di + dj)
             names.append(f"{first.names[i]}&{second.names[j]}")
-    entries = {}
-    for i, row in enumerate(first.rows):
-        for j in range(nb):
-            for k, p in row:
-                entries[(i * nb + j, k * nb + j)] = p
-    # The diagonal blocks are disjoint from the entries above: weights are
-    # even, so no differential has a (degree 1) diagonal entry.
-    for i, di in enumerate(first.degrees):
-        _place(entries, second.rows, i * nb, i * nb, -1 if di % 2 else 1)
-    return PerfectComplex(first.ring, tuple(degrees), entries, names=tuple(names))
+            # The diagonal block is disjoint from the entries of the first
+            # differential: weights are even, so no differential has a
+            # (degree 1) diagonal entry.
+            entries = [(k * nb + j, p) for k, p in row]
+            entries += _moved(second.rows[j], i * nb, negate=di % 2)
+            rows.append(tuple(sorted(entries, key=itemgetter(0))))
+    return _complex(first.ring, tuple(degrees), tuple(names), tuple(rows))
 
 
 # --- cohomology ---------------------------------------------------------------

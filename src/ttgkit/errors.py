@@ -14,7 +14,7 @@ class HomogeneityError(InputError):
 
 
 class CertificateError(TtgError):
-    """A prime-point certificate (regular sequence, local generation) failed."""
+    """A prime's sequence is not in it, not regular, or does not generate it."""
 
 
 class InternalError(TtgError):

@@ -1,4 +1,4 @@
-"""Certified homogeneous primes, residue-field objects, and supports.
+"""Checked homogeneous primes, residue-field objects, and supports.
 
 Spec R is never enumerated: every support statement is relative to a declared
 catalogue of primes.  A p-local vanishing statement is decided by Nakayama's
@@ -11,7 +11,7 @@ kept as the referee of the rank route.
 from .complexes import PerfectComplex, cohomology, koszul_object, tensor, unit_complex
 from .errors import CertificateError, InputError
 from .groebner import HomIdeal, ideal_quotient
-from .modules import GradedModule, generic_rank, is_zero_localized
+from .modules import GradedModule, is_zero_localized
 from .rings import GradedRing, Polynomial, require_homogeneous
 
 VERIFIED_MONOMIAL = "verified-monomial"
@@ -44,23 +44,24 @@ def check_regular_sequence(ring: GradedRing, sequence) -> bool:
 
 
 class PrimePoint:
-    """A homogeneous prime with a regular-sequence and local-generation certificate."""
+    """A homogeneous prime with a regular sequence that generates it."""
 
-    __slots__ = ("name", "ideal", "sequence", "certificate", "status", "_seq_ideal",
-                 "_residue")
+    __slots__ = ("name", "ideal", "sequence", "status", "_residue")
 
-    def __init__(self, name, ideal, sequence, certificate, status):
+    def __init__(self, name, ideal, sequence, status):
         self.name = name
         self.ideal = ideal
         self.sequence = tuple(sequence)
-        self.certificate = certificate
         self.status = status
-        self._seq_ideal = None
         self._residue = None
 
     @classmethod
-    def create(cls, ring: GradedRing, name: str, generators, sequence,
-               certificate=None) -> "PrimePoint":
+    def create(cls, ring: GradedRing, name: str, generators, sequence) -> "PrimePoint":
+        """Check the prime contract: (seq) = p for a regular sequence seq.
+
+        For a regular sequence H*(K(seq)) = R/(seq), so K(seq) is a residue
+        object of p only when the sequence generates p.
+        """
         gens = list(generators)
         for g in gens:
             if g.is_zero():
@@ -77,20 +78,13 @@ class PrimePoint:
                 )
         if not check_regular_sequence(ring, seq):
             raise CertificateError(f"prime {name}: sequence is not regular")
-        cert = ring.one() if certificate is None else certificate
-        require_homogeneous(cert, f"prime {name} certificate")
-        point = cls(name, ideal, seq, cert, DECLARED)
-        if not check_local_generation(point):
-            raise CertificateError(
-                f"prime {name}: certificate {cert} does not witness local generation"
-            )
-        point.status = _primality_status(name, ideal)
-        return point
-
-    def seq_ideal(self) -> HomIdeal:
-        if self._seq_ideal is None:
-            self._seq_ideal = HomIdeal(self.ideal.ring, self.sequence)
-        return self._seq_ideal
+        seq_ideal = HomIdeal(ring, seq)
+        missing = next((g for g in ideal.generators if not seq_ideal.contains_poly(g)),
+                       None)
+        if missing is not None:
+            raise CertificateError(f"prime {name}: the sequence does not generate "
+                                   f"the prime: {missing} is not in {seq_ideal!r}")
+        return cls(name, ideal, seq, _primality_status(name, ideal))
 
     def __repr__(self):
         return f"PrimePoint({self.name}: {self.ideal})"
@@ -100,7 +94,6 @@ class PrimePoint:
             "name": self.name,
             "gens": [str(g) for g in self.ideal.generators],
             "seq": [str(f) for f in self.sequence],
-            "cert": str(self.certificate),
             "status": self.status,
         }
 
@@ -120,7 +113,10 @@ def _primality_status(name: str, ideal: HomIdeal) -> str:
 
     When the reduced basis is all monomials or a single element, a basis
     element g divisible by a variable x, other than x itself, is a product
-    x * (g/x); if neither factor lies in the ideal, it is not prime.
+    x * (g/x); if neither factor lies in the ideal, it is not prime.  Over F_p
+    a single basis element whose exponents are all divisible by p is h^p,
+    where h takes the p-th root of each monomial (every c in F_p has c^p = c),
+    so it is the product h * h^(p-1) of two factors of lower degree.
     """
     ring = ideal.ring
     basis = ideal.basis_polynomials()
@@ -137,6 +133,13 @@ def _primality_status(name: str, ideal: HomIdeal) -> str:
                 factors = x if rest == var else f"{x} or {rest}"
                 raise InputError(f"prime {name}: not a prime ideal: it contains "
                                  f"{x}*{shown} but not {factors}")
+    char = ring.field.characteristic
+    if char and len(basis) == 1 and all(k % char == 0 for e in basis[0].terms for k in e):
+        h = Polynomial(ring, {tuple(k // char for k in e): c for e, c in basis[0].terms.items()})
+        other = f"({h})" if char == 2 else f"({h})^{char - 1}"
+        factors = h if char == 2 else f"{h} or {other}"
+        raise InputError(f"prime {name}: not a prime ideal: it contains "
+                         f"({h})*{other} but not {factors}")
     if monomial and all(sum(next(iter(g.terms))) == 1 for g in basis):
         return VERIFIED_MONOMIAL
     if len(basis) == 1:
@@ -144,15 +147,6 @@ def _primality_status(name: str, ideal: HomIdeal) -> str:
         if degree is not None and degree < 2 * min(ring.weights):
             return VERIFIED_PRINCIPAL
     return DECLARED
-
-
-def check_local_generation(prime: PrimePoint) -> bool:
-    """Certificate check: s outside p with s * (each generator) in the sequence ideal."""
-    s = prime.certificate
-    if prime.ideal.contains_poly(s):
-        return False
-    seq_ideal = prime.seq_ideal()
-    return all(seq_ideal.contains_poly(s * g) for g in prime.ideal.generators)
 
 
 class ResidueFieldObject:
@@ -166,29 +160,15 @@ class ResidueFieldObject:
 
 
 def residue_field_object(prime: PrimePoint) -> ResidueFieldObject:
-    """Build K(p), compute its cohomology, and verify the residue contract.
+    """K(p) and its cohomology, built once per prime.
 
-    The cohomology must be annihilated by the prime and have generic rank one
-    over R/p; a failure means the sequence does not present the residue field
-    and is reported as an invalid certificate.
+    `PrimePoint.create` checked that the sequence is regular and generates p,
+    so the cohomology is R/p: annihilated by p and of generic rank one over
+    R/p.  The residue-cohomology suite checks both.
     """
-    if prime._residue is not None:
-        return prime._residue
-    complex_ = koszul_object(unit_complex(prime.ideal.ring), prime.sequence)
-    module = cohomology(complex_)
-    for g in prime.ideal.generators:
-        if module.unkilled_generator(g) is not None:
-            raise CertificateError(
-                f"prime {prime.name}: invalid certificate, {g} does not "
-                f"annihilate the residue cohomology"
-            )
-    rank = generic_rank(module, prime)
-    if rank != 1:
-        raise CertificateError(
-            f"prime {prime.name}: invalid certificate, residue cohomology has "
-            f"generic rank {rank}"
-        )
-    prime._residue = ResidueFieldObject(complex_, module)
+    if prime._residue is None:
+        complex_ = koszul_object(unit_complex(prime.ideal.ring), prime.sequence)
+        prime._residue = ResidueFieldObject(complex_, cohomology(complex_))
     return prime._residue
 
 

@@ -116,9 +116,21 @@ def test_parse_locates_bad_polynomial(tmp_path):
         parse_workspace(str(path))
 
 
-def _qxy_with(keys, value):
-    """The qxy fixture as JSON text, with the value at the key path replaced."""
+def test_parse_ignores_legacy_cert(qxy_path, tmp_path):
+    """A prime's `cert` key, as older workspaces and perfbench/gen.py still
+    write it, is ignored like every other key outside the schema."""
     raw = json.loads((FIXTURES / "qxy.json").read_text())
+    for prime in raw["primes"]:
+        prime["cert"] = "1"
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(raw))
+    assert serialize_workspace(parse_workspace(str(path))) == serialize_workspace(
+        parse_workspace(qxy_path))
+
+
+def _fixture_with(keys, value, fixture="qxy"):
+    """A fixture as JSON text, with the value at the key path replaced."""
+    raw = json.loads((FIXTURES / f"{fixture}.json").read_text())
     target = raw
     for key in keys[:-1]:
         target = target[key]
@@ -127,53 +139,61 @@ def _qxy_with(keys, value):
 
 
 @pytest.mark.parametrize("text, message", [
-    (_qxy_with(["complexes", 0, "d"], 5), r"complexes\[0\]\.d: expected list$"),
-    (_qxy_with(["primes"], {"a": 1}), r":primes: expected list$"),
-    (_qxy_with(["complexes"], "abc"), r":complexes: expected list$"),
-    (_qxy_with(["primes", 1], {"name": "px", "gens": ["x^1000000000000"],
-                                "seq": ["x^1000000000000"]}),
+    (_fixture_with(["complexes", 0, "d"], 5), r"complexes\[0\]\.d: expected list$"),
+    (_fixture_with(["primes"], {"a": 1}), r":primes: expected list$"),
+    (_fixture_with(["complexes"], "abc"), r":complexes: expected list$"),
+    (_fixture_with(["primes", 1], {"name": "px", "gens": ["x^1000000000000"],
+                                   "seq": ["x^1000000000000"]}),
      r"primes\[1\]\.gens\[0\]: weighted degree 2000000000000 exceeds 400$"),
-    (_qxy_with(["complexes", 2], {
+    (_fixture_with(["complexes", 2], {
         "name": "cx", "gens": [{"name": "u", "degree": 201}, {"name": "v", "degree": -200}],
         "d": [{"from": "u", "to": "v", "coef": "x^201"}]}),
      r"complexes\[2\]\.d\[0\]\.coef: weighted degree 402 exceeds 400$"),
-    (_qxy_with(["complexes", 0, "gens", 0, "degree"], 401),
+    (_fixture_with(["complexes", 0, "gens", 0, "degree"], 401),
      r"complexes\[0\]\.gens\[0\]\.degree: 401 is outside the supported range \[-400, 400\]$"),
-    (_qxy_with(["complexes", 0, "gens", 0, "degree"], -401),
+    (_fixture_with(["complexes", 0, "gens", 0, "degree"], -401),
      r"complexes\[0\]\.gens\[0\]\.degree: -401 is outside"),
-    (_qxy_with(["primes", 1, "gens", 0], "1" * 5000 + "*x"),
+    (_fixture_with(["primes", 1, "gens", 0], "1" * 5000 + "*x"),
      r"primes\[1\]\.gens\[0\]: number too long at column 1$"),
     ('{"ring": {"char": ' + "1" * 5000 + ', "vars": []}}', r": unsupported JSON: "),
     ('{"ring": ' + "[" * 100000 + "]" * 100000 + "}", r": unsupported JSON: "),
-    (_qxy_with(["complexes", 0, "gens", 0, "degree"], True),
+    (_fixture_with(["complexes", 0, "gens", 0, "degree"], True),
      r"complexes\[0\]\.gens\[0\]\.degree: expected int$"),
-    (_qxy_with(["ring", "char"], True), r":ring\.char: expected int$"),
-    (_qxy_with(["ring", "vars", 0, "degree"], True), r":ring\.vars\[0\]\.degree: expected int$"),
-    (_qxy_with(["complexes", 0], {
+    (_fixture_with(["ring", "char"], True), r":ring\.char: expected int$"),
+    (_fixture_with(["ring", "vars", 0, "degree"], True),
+     r":ring\.vars\[0\]\.degree: expected int$"),
+    (_fixture_with(["complexes", 0], {
         "name": "bad",
         "gens": [{"name": "a", "degree": 2}, {"name": "b", "degree": 1},
                  {"name": "c", "degree": 0}],
         "d": [{"from": "a", "to": "b", "coef": "x"}, {"from": "b", "to": "c", "coef": "x+y"}]}),
      r":complexes\[0\]: differential does not square to zero at \(a, c\): x\^2\+x\*y$"),
-    (_qxy_with(["primes", 1], {"name": "px", "gens": ["x^2"], "seq": ["x^2"]}),
+    (_fixture_with(["primes", 1], {"name": "px", "gens": ["x^2"], "seq": ["x^2"]}),
      r":primes\[1\]: prime px: not a prime ideal: it contains x\*x but not x$"),
-    (_qxy_with(["primes", 1], {"name": "px", "gens": ["x*y"], "seq": ["x*y"]}),
+    (_fixture_with(["primes", 1], {"name": "px", "gens": ["x*y"], "seq": ["x*y"]}),
      r":primes\[1\]: prime px: not a prime ideal: it contains x\*y but not x or y$"),
-    (_qxy_with(["primes", 1], {"name": "px", "gens": ["x^2", "y"], "seq": ["x^2", "y"]}),
+    (_fixture_with(["primes", 1], {"name": "px", "gens": ["x^2", "y"], "seq": ["x^2", "y"]}),
      r":primes\[1\]: prime px: not a prime ideal: it contains x\*x but not x$"),
-    (_qxy_with(["primes", 1], {"name": "px", "gens": ["x^2+x*y"], "seq": ["x^2+x*y"]}),
+    (_fixture_with(["primes", 1], {"name": "px", "gens": ["x^2+x*y"], "seq": ["x^2+x*y"]}),
      r":primes\[1\]: prime px: not a prime ideal: it contains x\*\(x\+y\) but not x or x\+y$"),
-    (_qxy_with(["complexes", 5, "name"], "unit"),
+    (_fixture_with(["complexes", 5, "name"], "unit"),
      r":complexes\[5\]\.name: duplicate complex name 'unit'$"),
-    (_qxy_with(["primes", 2, "name"], "px"), r":primes\[2\]\.name: duplicate prime name 'px'$"),
-    (_qxy_with(["primes", 1], {"name": "px", "gens": ["x"], "seq": ["x^2+x*y"], "cert": "x+y"}),
+    (_fixture_with(["primes", 2, "name"], "px"),
+     r":primes\[2\]\.name: duplicate prime name 'px'$"),
+    (_fixture_with(["primes", 1],
+                   {"name": "px", "gens": ["x"], "seq": ["x^2+x*y"], "cert": "x+y"}),
      r":primes\[1\]: prime px: the sequence does not generate the prime: "
      r"x is not in \(x\^2\+x\*y\)$"),
+    (_fixture_with(["primes", 1], {"name": "pp", "gens": ["x^50+y^50+z^25"],
+                                   "seq": ["x^50+y^50+z^25"]}, fixture="f5xyz"),
+     r":primes\[1\]: prime pp: not a prime ideal: it contains "
+     r"\(x\^10\+y\^10\+z\^5\)\*\(x\^10\+y\^10\+z\^5\)\^4 "
+     r"but not x\^10\+y\^10\+z\^5 or \(x\^10\+y\^10\+z\^5\)\^4$"),
 ], ids=["d-int", "primes-dict", "complexes-string", "exponent-huge", "coef-degree",
         "gen-degree-high", "gen-degree-low", "number-long", "json-int-long", "json-deep",
         "bool-gen-degree", "bool-char", "bool-var-degree", "d-squared", "nonprime-square",
         "nonprime-product", "nonprime-monomial", "nonprime-principal", "duplicate-complex",
-        "duplicate-prime", "sequence-not-generating"])
+        "duplicate-prime", "sequence-not-generating", "nonprime-pth-power"])
 def test_cli_rejects_malformed_workspace(capsys, tmp_path, text, message):
     path = tmp_path / "ws.json"
     path.write_text(text)
@@ -399,7 +419,7 @@ def test_cli_rejects_flags_the_command_does_not_read(capsys, qxy_path, argv):
 
 def test_cli_budget_limits_are_accepted(capsys, qxy_path, tmp_path):
     path = tmp_path / "edge.json"
-    path.write_text(_qxy_with(["complexes", 2], {
+    path.write_text(_fixture_with(["complexes", 2], {
         "name": "cx", "gens": [{"name": "u", "degree": 400}, {"name": "v", "degree": 1}],
         "d": [{"from": "u", "to": "v", "coef": "x^200"}]}))
     code, _, err = run_cli(capsys, "validate", "--input", str(path))

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from ttgkit import HomIdeal, HomogeneityError, InputError
+from test_invariants import REFEREE_RINGS
+from ttgkit import GradedRing, HomIdeal, HomogeneityError, InputError
 from ttgkit.complexes import (
     ChainMap,
     Homotopy,
@@ -23,6 +24,7 @@ from ttgkit.complexes import (
     unit_complex,
     validate,
 )
+from ttgkit.fields import Field
 
 
 @pytest.fixture(scope="module")
@@ -234,14 +236,78 @@ def test_even_vanishing(basics):
     assert even_vanishing_check(x * x, window=(-8, 8))
 
 
+def _rebuild(ring, degrees, names, entries, *blocks):
+    """The checked PerfectComplex on entries plus each block (rows, row0, col0, sign)."""
+    entries = dict(entries)
+    for rows, row0, col0, sign in blocks:
+        for i, row in enumerate(rows):
+            for j, p in row:
+                entries[(i + row0, j + col0)] = p.scale(sign)
+    return PerfectComplex(ring, degrees, entries, names)
+
+
+# Rebuilds of each constructor from the sign conventions in the complexes
+# module docstring, through the checked public constructor.
+def _shift_rebuilt(X, k):
+    degrees = tuple(d - k for d in X.degrees)
+    return _rebuild(X.ring, degrees, X.names, {}, (X.rows, 0, 0, (-1) ** k))
+
+
+def _sum_rebuilt(X, Y):
+    names = tuple(f"a.{nm}" for nm in X.names) + tuple(f"b.{nm}" for nm in Y.names)
+    return _rebuild(X.ring, X.degrees + Y.degrees, names, {},
+                    (X.rows, 0, 0, 1), (Y.rows, len(X), len(X), 1))
+
+
+def _action_rebuilt(f, X):
+    diagonal = {(i, i): f for i in range(len(X))}
+    return ChainMap(_shift_rebuilt(X, -f.homogeneous_degree()), X, diagonal)
+
+
+def _cone_rebuilt(u):
+    x, y, n = u.source, u.target, len(u.source)
+    names = tuple(f"x.{nm}" for nm in x.names) + tuple(f"y.{nm}" for nm in y.names)
+    degrees = tuple(d - 1 for d in x.degrees) + y.degrees
+    return _rebuild(x.ring, degrees, names, {},
+                    (x.rows, 0, 0, -1), (u.rows, 0, n, 1), (y.rows, n, n, 1))
+
+
+def _tensor_rebuilt(X, Y):
+    nb = len(Y)
+    degrees = tuple(di + dj for di in X.degrees for dj in Y.degrees)
+    names = tuple(f"{a}&{b}" for a in X.names for b in Y.names)
+    entries = {(i * nb + j, k * nb + j): p
+               for i, row in enumerate(X.rows) for j in range(nb) for k, p in row}
+    blocks = [(Y.rows, i * nb, i * nb, (-1) ** di) for i, di in enumerate(X.degrees)]
+    return _rebuild(X.ring, degrees, names, entries, *blocks)
+
+
 def test_square_zero_everywhere(basics):
-    ring, x, y, one = basics
-    rng = random.Random(2)
-    for seed in range(8):
-        X = random_perfect_complex(ring, seed, max_gens=8)
-        validate(X)  # D^2 = 0 and homogeneity re-checked
-        validate(shift(X, rng.randint(-2, 2)))
-        validate(tensor(X, cone(central_action(x, one))))
+    """Every constructor's output passes `validate` and equals, names included,
+    its rebuild through the checked constructor, over Q[x:2,y:2] and the rings
+    of the multi-ring referee sweep."""
+    rings = [basics[0]] + [GradedRing(Field(c), v) for c, v in REFEREE_RINGS]
+    for ring in rings:
+        rng = random.Random(2)
+        one = unit_complex(ring)
+        c = cone(central_action(ring.variable(ring.names[0]), one))
+        for seed in range(6):
+            X = random_perfect_complex(ring, seed, max_gens=8)
+            validate(X)  # D^2 = 0 and homogeneity re-checked
+            f, g = (random_homogeneous(ring, rng, max_degree=4) for _ in range(2))
+            k = rng.randint(-2, 2)
+            assert central_action(f, X).rows == _action_rebuilt(f, X).rows
+            for built, rebuilt in [
+                (shift(X, k), _shift_rebuilt(X, k)),
+                (direct_sum(X, c), _sum_rebuilt(X, c)),
+                (cone(central_action(f, X)), _cone_rebuilt(_action_rebuilt(f, X))),
+                (tensor(X, c), _tensor_rebuilt(X, c)),
+                (tensor(c, X), _tensor_rebuilt(c, X)),
+                (koszul_object(X, [f, g]), _cone_rebuilt(_action_rebuilt(
+                    g, _cone_rebuilt(_action_rebuilt(f, X))))),
+            ]:
+                validate(built)
+                assert built == rebuilt and built.names == rebuilt.names, (ring, seed)
 
 
 def test_random_builder_determinism(basics):

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from ttgkit import CertificateError, HomIdeal, InputError
@@ -5,7 +7,6 @@ from ttgkit.complexes import cohomology, tensor, unit_complex
 from ttgkit.modules import quotient_module
 from ttgkit.spectrum import (
     PrimePoint,
-    check_local_generation,
     check_regular_sequence,
     module_supported_primes,
     residue_field_object,
@@ -33,10 +34,13 @@ def test_regular_sequence_examples(world):
 
 
 def test_local_generation_examples(world):
+    """(seq) = p is checked once, in `create`, with the message the CLI prints."""
     ring, x, y, cat = world
-    assert check_local_generation(cat.prime("pmax"))
-    assert check_local_generation(cat.prime("px"))
-    with pytest.raises(CertificateError):
+    assert cat.prime("pmax").sequence == (x, y)
+    assert cat.prime("px").sequence == (x,)
+    assert PrimePoint.create(ring, "pmax2", [x, y], [y, x - y]).sequence == (y, x - y)
+    with pytest.raises(CertificateError, match=re.escape(
+            "prime bad: the sequence does not generate the prime: y is not in (x)")):
         PrimePoint.create(ring, "bad", [x, y], [x])
 
 
@@ -71,12 +75,16 @@ def test_residue_field_objects(world):
 
 
 def test_residue_rejects_invalid_certificate(world):
+    """A sequence that generates p only locally is no residue certificate.
+
+    x^2+x*y is a regular element of px that generates it away from x + y, but
+    H*(K(x^2+x*y)) = R/(x^2+x*y) is not a residue object of px: `create`
+    refuses the prime, so no residue object is ever built from it.
+    """
     ring, x, y, cat = world
-    # a regular element of px that generates it only locally (s = x + y):
-    weird = PrimePoint.create(ring, "pw", [x], [x * x + x * y], certificate=x + y)
-    assert check_local_generation(weird)
-    with pytest.raises(CertificateError, match="invalid certificate"):
-        residue_field_object(weird)
+    with pytest.raises(CertificateError, match=re.escape(
+            "prime pw: the sequence does not generate the prime: x is not in (x^2+x*y)")):
+        PrimePoint.create(ring, "pw", [x], [x * x + x * y])
 
 
 def test_support_of_module_examples(world):
@@ -146,6 +154,5 @@ def test_prime_serialization(world):
         "name": "pmax",
         "gens": ["x", "y"],
         "seq": ["x", "y"],
-        "cert": "1",
         "status": "verified-monomial",
     }
