@@ -179,9 +179,9 @@ def _random_object(catalogue, rng, monomial_only=False):
 def _suite_residue_cohomology(catalogue, seed, n):
     for p in catalogue.primes:
         try:
-            residue = residue_field_object(p)
-            ann_ok = residue.cohomology.annihilator().same_ideal(p.ideal)
-            rank_ok = generic_rank(residue.cohomology, p) == 1
+            module = cohomology(residue_field_object(p))
+            ann_ok = module.annihilator().same_ideal(p.ideal)
+            rank_ok = generic_rank(module, p) == 1
         except TtgError as err:  # a failed build or rank is the reportable outcome
             yield {"prime": p.name, "error": str(err)}
             continue
@@ -244,7 +244,7 @@ def _suite_nakayama(catalogue, seed, n):
 
 
 def _tensor_residue_cohomology(x, p):
-    return cohomology(tensor(x, residue_field_object(p).complex))
+    return cohomology(tensor(x, residue_field_object(p)))
 
 
 def _suite_vector_space(catalogue, seed, n):
@@ -336,7 +336,7 @@ def _build_from_residue(catalogue, p, rng):
     shrink the support below V(p), which only the local category quotients
     away.  Shifts and finite sums are support-neutral.
     """
-    base = residue_field_object(p).complex
+    base = residue_field_object(p)
     current = base
     for _ in range(rng.randint(0, 5)):
         op = rng.choice(["shift", "sum", "cone"])
@@ -368,7 +368,7 @@ def _suite_minimality(catalogue, seed, n):
             continue
         support = catalogue.support(built)
         support_ok = support.names() == (p.name,)
-        thick_ok = in_thick(catalogue, residue_field_object(p).complex, [built])
+        thick_ok = in_thick(catalogue, residue_field_object(p), [built])
         yield None if support_ok and thick_ok else {
             "prime": p.name,
             "support": list(support.names()),

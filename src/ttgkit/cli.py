@@ -256,13 +256,14 @@ def execute(args, workspace: Workspace):
     if command == "residue":
         prime = cat.prime(args.name)
         residue = residue_field_object(prime)
-        window = _window(residue.complex, args.max_degree, f"prime {prime.name}")
+        window = _window(residue, args.max_degree, f"prime {prime.name}")
+        module = cohomology(residue)
         return {
             "prime": prime.name,
             "status": prime.status,
-            "hilbert": _hilbert_payload(residue.complex, window),
-            "annihilator": list(residue.cohomology.annihilator().display_basis()),
-            "generic_rank": generic_rank(residue.cohomology, prime),
+            "hilbert": _hilbert_payload(residue, window),
+            "annihilator": list(module.annihilator().display_basis()),
+            "generic_rank": generic_rank(module, prime),
         }, 0
     if command == "classify":
         return classify_catalogue(cat), 0

@@ -349,7 +349,7 @@ def homotopy_defect(h: Homotopy, g: ChainMap):
     return _defect([(1, h.rows, h.target.rows), (1, h.source.rows, h.rows)], g.rows)
 
 
-def even_vanishing_check(f: Polynomial, window=None) -> bool:
+def even_vanishing_check(f: Polynomial) -> bool:
     """H^n(cone(f . 1)) = 0 for every odd n in the probe window."""
     d = f.homogeneous_degree()
     if d is None or f.is_zero():
@@ -357,7 +357,7 @@ def even_vanishing_check(f: Polynomial, window=None) -> bool:
     if d % 2 != 0:
         raise InputError("even vanishing requires an element of even degree")
     mapping_cone = cone(central_action(f, unit_complex(f.ring)))
-    lo, hi = mapping_cone.probe_window() if window is None else window
+    lo, hi = mapping_cone.probe_window()
     module = cohomology(mapping_cone)
     for n in range(lo, hi + 1):
         if n % 2 != 0 and module.hilbert_dimension(n) != 0:

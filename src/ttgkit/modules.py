@@ -1,21 +1,22 @@
 """Finitely presented graded modules: annihilators, Hilbert data, local tests.
 
-Module invariants are computed on a core presentation: the isomorphic module
-obtained by cancelling every relation that has a unit (degree-0, hence
-constant) entry against that generator, as in Macaulay2's `prune`.  The
-annihilator of a core with k generators is one colon (`groebner.colon`):
+Every module is stored in one presentation with no unit entry: construction
+cancels each relation that has a unit (degree-0, hence constant) entry
+against that generator, as Macaulay2's `prune` does.  Weights are positive,
+so R_0 is the field, and by the graded Nakayama lemma the generators left
+are a minimal set; the module is zero exactly when there are none.  The
+annihilator of a module with k generators is one colon (`groebner.colon`):
 (N^k : sum_i e_i^(i)) in k twisted copies of the free module, read off a
 single completion with one tag position (elimination; Eisenbud, Commutative
-Algebra, section 15.10).  The Hilbert function counts the standard monomials
-of the core.
+Algebra, section 15.10).  The Hilbert function counts standard monomials.
 
 Localization at a prime is never materialized: every p-local statement is
 reduced to a rank over the fraction field Frac(R/p) of the quotient domain.
 Vanishing at p is decided by Nakayama's lemma, as full rank of the relation
-matrix reduced mod p, on the given presentation.  The annihilator decides the
-same question by ideal containment; it is kept as the independent referee of
-the rank route.  Both reductions are valid because all modules produced here
-are finitely generated.
+matrix reduced mod p.  The annihilator decides the same question by ideal
+containment; it is kept as the independent referee of the rank route.  Both
+reductions are valid because all modules produced here are finitely
+generated.
 """
 
 from .errors import HomogeneityError, InputError, frozen_attribute
@@ -61,75 +62,52 @@ class GradedDimensionTable:
 class GradedModule:
     """A graded module given by generator degrees and homogeneous relations.
 
-    Presentations may be non-minimal; construction only canonicalizes by
-    dropping zero and duplicate relation columns.  `core()` is the lazily
-    cached isomorphic presentation without unit entries; `annihilator()` (one
-    colon over N^k) and `hilbert_dimension()` read it, while the
-    presentation-indexed queries (`unkilled_generator`, `transporters`, one
-    colon per generator, and the localization rank) keep the given generators.
+    Construction validates each relation column, cancels every unit entry
+    (`_cancel_units`), then drops zero and duplicate columns.  Only the
+    result is stored, so no relation entry is a unit, the generators are
+    minimal, and every query reads that one presentation.
     """
 
-    __slots__ = ("ring", "gens", "relations", "_rel_basis", "_core", "_annihilator")
+    __slots__ = ("ring", "gens", "relations", "_rel_basis", "_annihilator")
 
     def __init__(self, ring: GradedRing, gens, relations=()):
-        self.ring = ring
-        self.gens = tuple(int(d) for d in gens)
+        gens = tuple(int(d) for d in gens)
         cols = []
-        seen = set()
         for col in relations:
-            entries = dict(col)
-            entries = {i: p for i, p in entries.items() if not p.is_zero()}
-            if not entries:
-                continue
+            entries = {i: p for i, p in dict(col).items() if not p.is_zero()}
             degree = None
             for i, p in entries.items():
                 if p.ring != ring:
                     raise InputError("relation entry from a different ring")
-                if not (0 <= i < len(self.gens)):
+                if not (0 <= i < len(gens)):
                     raise InputError(f"relation entry index {i} out of range")
                 d = p.homogeneous_degree()
                 if d is None:
                     raise HomogeneityError(f"relation entry {p} is not homogeneous")
-                total = d + self.gens[i]
+                total = d + gens[i]
                 if degree is None:
                     degree = total
                 elif degree != total:
                     raise HomogeneityError(
                         f"relation column mixes degrees {degree} and {total}"
                     )
-            canon = tuple(sorted(entries.items(), key=lambda t: t[0]))
-            if canon not in seen:
-                seen.add(canon)
-                cols.append(canon)
-        self.relations = tuple(cols)
+            cols.append(entries)
+        gens, cols = _cancel_units(ring, gens, cols)
+        canon = (tuple(sorted(col.items(), key=lambda t: t[0])) for col in cols if col)
+        self.ring = ring
+        self.gens = gens
+        self.relations = tuple(dict.fromkeys(canon))
         self._rel_basis = None
-        self._core = None
         self._annihilator = None
 
     # -- presentation plumbing ------------------------------------------------
 
-    def relation_vectors(self):
-        return [row_to_vec(col) for col in self.relations]
-
-    def relation_degrees(self):
-        out = []
-        for col in self.relations:
-            i, p = col[0]
-            out.append(p.homogeneous_degree() + self.gens[i])
-        return out
-
     def rel_basis(self) -> SubmoduleBasis:
         if self._rel_basis is None:
             ctx = FreeContext(self.ring, self.gens)
-            self._rel_basis = SubmoduleBasis.generate(self.relation_vectors(), ctx)
+            vectors = [row_to_vec(col) for col in self.relations]
+            self._rel_basis = SubmoduleBasis.generate(vectors, ctx)
         return self._rel_basis
-
-    def core(self) -> "GradedModule":
-        """An isomorphic presentation with no unit entry; self if there was none."""
-        if self._core is None:
-            self._core = _cancel_units(self)
-            self._core._core = self._core
-        return self._core
 
     def __repr__(self):
         return f"GradedModule(gens={self.gens}, relations={len(self.relations)})"
@@ -137,7 +115,8 @@ class GradedModule:
     # -- queries ---------------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return self.unkilled_generator(self.ring.one()) is None
+        """The stored generators are minimal, so M = 0 exactly when there are none."""
+        return not self.gens
 
     def unkilled_generator(self, f: Polynomial):
         """Index of the first generator e_i with f * e_i outside the relation span.
@@ -153,7 +132,7 @@ class GradedModule:
         return None
 
     def transporters(self):
-        """(relations : e_i) for each generator of the given presentation."""
+        """(relations : e_i) for each generator e_i."""
         basis = self.rel_basis()
         one = self.ring.one()
         return tuple(
@@ -161,20 +140,19 @@ class GradedModule:
         )
 
     def annihilator(self) -> HomIdeal:
-        """Ann M as one colon (N^k : sum_i e_i^(i)) over the core's k generators.
+        """Ann M as one colon (N^k : sum_i e_i^(i)) over the k generators.
 
-        Copy i of F^k carries the core's reduced relation basis, twisted by
+        Copy i of F^k carries the reduced relation basis, twisted by
         -deg e_i, so every diagonal entry e_i^(i) has degree 0; f kills the
         diagonal modulo N^k exactly when f kills every generator modulo N.
         """
         if self._annihilator is None:
-            core = self.core()
-            k = len(core.gens)
+            k = len(self.gens)
             if not k:
                 self._annihilator = HomIdeal(self.ring, [self.ring.one()])
             else:
-                degrees = tuple(d - shift for shift in core.gens for d in core.gens)
-                relations = core.rel_basis().elements
+                degrees = tuple(d - shift for shift in self.gens for d in self.gens)
+                relations = self.rel_basis().elements
                 rows = [
                     {(i * k + j, e): c for (j, e), c in v.items()}
                     for i in range(k)
@@ -185,8 +163,8 @@ class GradedModule:
         return self._annihilator
 
     def hilbert_dimension(self, degree: int) -> int:
-        """Exact k-dimension of the degree component, via standard monomials of the core."""
-        return self.core().rel_basis().standard_monomial_count(degree)
+        """Exact k-dimension of the degree component, via standard monomials."""
+        return self.rel_basis().standard_monomial_count(degree)
 
     def dimension_table(self, lo: int, hi: int) -> GradedDimensionTable:
         return GradedDimensionTable(
@@ -203,7 +181,7 @@ class GradedModule:
         return {"gens": list(self.gens), "relations": matrix}
 
 
-def _cancel_units(module: GradedModule) -> GradedModule:
+def _cancel_units(ring: GradedRing, gens, cols):
     """Cancel unit entries, one relation column and one generator at a time.
 
     The pivot is the first column r with a unit entry, at its lowest such
@@ -211,13 +189,12 @@ def _cancel_units(module: GradedModule) -> GradedModule:
     s - (s_j/c) r, which keeps the relation span and clears s_j; then e_j is
     a combination of the other generators modulo r, so generator j and
     column r drop out.  Weights are positive, so unit entries are exactly
-    the constant ones.
+    the constant ones.  Returns the remaining generator degrees and the
+    columns, some possibly empty, re-indexed to them.
     """
-    ring = module.ring
     field = ring.field
     unit = (0,) * ring.nvars
-    alive = list(range(len(module.gens)))
-    cols = [dict(col) for col in module.relations]
+    alive = list(range(len(gens)))
 
     def pivot():
         for r, col in enumerate(cols):
@@ -242,14 +219,9 @@ def _cancel_units(module: GradedModule) -> GradedModule:
                 else:
                     s[i] = q
         alive.remove(j)
-    if len(alive) == len(module.gens):
-        return module
     position = {old: new for new, old in enumerate(alive)}
-    return GradedModule(
-        ring,
-        [module.gens[i] for i in alive],
-        [{position[i]: p for i, p in s.items()} for s in cols],
-    )
+    return (tuple(gens[i] for i in alive),
+            [{position[i]: p for i, p in s.items()} for s in cols])
 
 
 def quotient_module(ring: GradedRing, ideal: HomIdeal) -> GradedModule:

@@ -149,26 +149,15 @@ def _primality_status(name: str, ideal: HomIdeal) -> str:
     return DECLARED
 
 
-class ResidueFieldObject:
-    """The Koszul object of the unit on a prime's chosen regular sequence."""
-
-    __slots__ = ("complex", "cohomology")
-
-    def __init__(self, complex_: PerfectComplex, cohomology_: GradedModule):
-        self.complex = complex_
-        self.cohomology = cohomology_
-
-
-def residue_field_object(prime: PrimePoint) -> ResidueFieldObject:
-    """K(p) and its cohomology, built once per prime.
+def residue_field_object(prime: PrimePoint) -> PerfectComplex:
+    """K(p), the Koszul object of the unit on p's sequence, built once per prime.
 
     `PrimePoint.create` checked that the sequence is regular and generates p,
     so the cohomology is R/p: annihilated by p and of generic rank one over
     R/p.  The residue-cohomology suite checks both.
     """
     if prime._residue is None:
-        complex_ = koszul_object(unit_complex(prime.ideal.ring), prime.sequence)
-        prime._residue = ResidueFieldObject(complex_, cohomology(complex_))
+        prime._residue = koszul_object(unit_complex(prime.ideal.ring), prime.sequence)
     return prime._residue
 
 
@@ -251,8 +240,7 @@ def residue_supported_primes(complex_: PerfectComplex, primes):
     """
     members = []
     for p in primes:
-        residue = residue_field_object(p)
-        module = cohomology(tensor(complex_, residue.complex))
+        module = cohomology(tensor(complex_, residue_field_object(p)))
         if not is_zero_localized(module, p):
             members.append(p)
     return members

@@ -2,8 +2,10 @@
 
 Nothing here touches the Groebner engine; membership, syzygy and Hilbert
 questions are answered by row reduction over the coefficient field, degree by
-degree, so these can referee the engine's answers.  The two module
-constructors at the end only rearrange presentations.
+degree, so these can referee the engine's answers.  A module oracle reads
+only `ring`, `gens` and `relations`, so it takes a `GradedModule` or a raw
+`Presentation` alike.  The two module constructors at the end only
+rearrange presentations.
 """
 
 from ttgkit.modules import GradedModule
@@ -61,6 +63,27 @@ class ExactSpan:
 
 def poly_vector(p, position=0):
     return {(position, expt): c for expt, c in p.terms.items()}
+
+
+class Presentation:
+    """Generator degrees and relation columns exactly as given, unpruned."""
+
+    def __init__(self, ring, gens, relations):
+        self.ring = ring
+        self.gens = tuple(gens)
+        self.relations = [dict(col) for col in relations]
+
+
+def relation_span_data(module):
+    """Vectors and degrees of the nonzero relation columns of a presentation."""
+    vectors, degrees = [], []
+    for col in module.relations:
+        entries = [(i, p) for i, p in dict(col).items() if not p.is_zero()]
+        if entries:
+            vectors.append({k: c for i, p in entries for k, c in poly_vector(p, i).items()})
+            i, p = entries[0]
+            degrees.append(p.homogeneous_degree() + module.gens[i])
+    return vectors, degrees
 
 
 def membership_oracle(f, generators) -> bool:
@@ -134,9 +157,7 @@ def hilbert_oracle(module, degree) -> int:
     """Row-reduction dimension count over the monomial basis of generators."""
     ring = module.ring
     total = sum(len(ring.monomials_of_weight(degree - d)) for d in module.gens)
-    span = module_degree_span(
-        module.relation_vectors(), module.relation_degrees(), ring, degree
-    )
+    span = module_degree_span(*relation_span_data(module), ring, degree)
     return total - span.rank
 
 
@@ -154,11 +175,10 @@ def annihilator_dimension_oracle(module, degree, indices=None) -> int:
     if indices is None:
         indices = range(len(module.gens))
     monomials = ring.monomials_of_weight(degree)
+    vectors, degrees = relation_span_data(module)
     spans = {}
     for d in {module.gens[i] for i in indices}:
-        spans[d] = module_degree_span(
-            module.relation_vectors(), module.relation_degrees(), ring, degree + d
-        )
+        spans[d] = module_degree_span(vectors, degrees, ring, degree + d)
     image = ExactSpan(ring.field)
     for m in monomials:
         vec = {}

@@ -229,7 +229,6 @@ _WORKSPACE = st.fixed_dictionaries(
             {"name": _or_any(st.sampled_from(["p", "q"])),
              "gens": _or_any(st.lists(_or_any(_POLY_TEXT), max_size=2)),
              "seq": _or_any(st.lists(_or_any(_POLY_TEXT), max_size=2))},
-            optional={"cert": _or_any(_POLY_TEXT)},
         )), max_size=2)),
         "complexes": _or_any(st.lists(_or_any(st.fixed_dictionaries(
             {"name": _or_any(st.sampled_from(["a", "b"])),

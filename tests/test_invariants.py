@@ -2,23 +2,27 @@
 
 import pathlib
 import random
+from unittest import mock
 
 import pytest
 
 from oracles import (
     ExactSpan,
+    Presentation,
     annihilator_dimension_oracle,
     direct_sum_modules,
     hilbert_oracle,
     membership_oracle,
     poly_vector,
+    relation_span_data,
 )
-from ttgkit import GradedRing, HomIdeal, ideal_quotient
+from ttgkit import GradedRing, HomIdeal, complexes, ideal_quotient
 from ttgkit.cli import main
 from ttgkit.classify import in_thick
 from ttgkit.complexes import cohomology, random_homogeneous, random_perfect_complex, tensor
 from ttgkit.fields import Field
-from ttgkit.modules import is_zero_localized, quotient_module
+from ttgkit.groebner import FreeContext, SubmoduleBasis, poly_to_vec
+from ttgkit.modules import GradedModule, is_zero_localized, quotient_module
 from ttgkit.spectrum import (
     PrimePoint,
     module_supported_primes,
@@ -27,6 +31,12 @@ from ttgkit.spectrum import (
 )
 
 GOLDEN = pathlib.Path(__file__).parent.parent / "fixtures" / "golden"
+
+
+def raw_cohomology(x):
+    """The presentation that `cohomology(x)` hands to `GradedModule`, unpruned."""
+    with mock.patch.object(complexes, "GradedModule", Presentation):
+        return complexes.cohomology.__wrapped__(x)
 
 
 def _quotient_space_dimension(gens, f, ring, degree):
@@ -107,44 +117,46 @@ def test_localization_rank_matches_annihilator_referee(request, catalogue_name):
         x = random_perfect_complex(cat.ring, rng.randrange(2**30), max_gens=6, steps=3)
         check(cohomology(x))
         for p in cat.primes:
-            check(cohomology(tensor(x, residue_field_object(p).complex)))
+            check(cohomology(tensor(x, residue_field_object(p))))
     assert outcomes == {True, False}
 
 
 def test_hilbert_oracle_on_catalogue_modules(catalogue_q):
     for name in sorted(catalogue_q.objects):
         module = cohomology(catalogue_q.objects[name])
+        raw = raw_cohomology(catalogue_q.objects[name])
         for degree in range(-4, 17):
-            assert module.hilbert_dimension(degree) == hilbert_oracle(module, degree), (
+            assert module.hilbert_dimension(degree) == hilbert_oracle(raw, degree), (
                 name, degree,
             )
 
 
 @pytest.mark.parametrize("catalogue_name", ["catalogue_q", "catalogue_f5"])
 def test_annihilator_and_hilbert_match_oracles(request, catalogue_name):
-    """Ann M and the Hilbert function, read off the core presentation, agree
-    degree by degree with row reduction on the given presentation."""
+    """Ann M and the Hilbert function, read off the pruned presentation, agree
+    degree by degree with row reduction on the presentation `cohomology`
+    was given."""
     cat = request.getfixturevalue(catalogue_name)
     ring = cat.ring
     rng = random.Random(8191)
-    modules = [cohomology(cat.objects[name]) for name in sorted(cat.objects)]
+    objects = [cat.objects[name] for name in sorted(cat.objects)]
     for monomial_only in (True, False):
         for _ in range(10):
-            x = random_perfect_complex(ring, rng.randrange(2**30), max_gens=8, steps=4,
-                                       monomial_only=monomial_only)
-            modules.append(cohomology(x))
+            objects.append(random_perfect_complex(ring, rng.randrange(2**30), max_gens=8,
+                                                  steps=4, monomial_only=monomial_only))
     cancelled = 0
-    for module in modules:
-        if module.core() is not module:
+    for x in objects:
+        module, raw = cohomology(x), raw_cohomology(x)
+        if len(module.gens) < len(raw.gens):
             cancelled += 1
         basis = module.annihilator().groebner_basis()
         for degree in range(0, 9):
             engine = (len(ring.monomials_of_weight(degree))
                       - basis.standard_monomial_count(degree))
-            assert engine == annihilator_dimension_oracle(module, degree), (module, degree)
-        lo = min(module.gens, default=0)
+            assert engine == annihilator_dimension_oracle(raw, degree), (module, degree)
+        lo = min(raw.gens, default=0)
         for degree in range(lo - 2, lo + 9):
-            assert module.hilbert_dimension(degree) == hilbert_oracle(module, degree), (
+            assert module.hilbert_dimension(degree) == hilbert_oracle(raw, degree), (
                 module, degree,
             )
     assert cancelled > 0
@@ -212,6 +224,63 @@ def test_multi_ring_referee_sweep(char, variables):
             engine = (len(ring.monomials_of_weight(degree))
                       - basis.standard_monomial_count(degree))
             assert engine == annihilator_dimension_oracle(module, degree), (seed, degree)
+
+
+def _homogeneous(ring, rng, degree):
+    """A nonzero homogeneous polynomial of the given weighted degree, or None."""
+    monomials = list(ring.monomials_of_weight(degree)) if degree >= 0 else []
+    if not monomials:
+        return None
+    return ring.from_terms({m: 1 for m in rng.sample(monomials, min(2, len(monomials)))})
+
+
+def _with_unit_entries(raw, rng):
+    """`raw` plus a generator e of degree D with the relation c*e + f*e_i,
+    c a nonzero constant, and a relation g*e + h*e_j that the cancellation
+    of e must rewrite."""
+    ring = raw.ring
+    if not raw.gens:
+        return raw
+    i, j = rng.randrange(len(raw.gens)), rng.randrange(len(raw.gens))
+    degree = raw.gens[i] + rng.choice([0, 2, 4])
+    new = len(raw.gens)
+    columns = [dict(col) for col in raw.relations]
+    f = _homogeneous(ring, rng, degree - raw.gens[i])
+    columns.append({new: ring.constant(rng.choice([1, -1])), **({i: f} if f else {})})
+    lowest = min(ring.weights)
+    g = _homogeneous(ring, rng, lowest)
+    h = _homogeneous(ring, rng, degree + lowest - raw.gens[j])
+    if g and h:
+        columns.insert(rng.randrange(len(columns)), {new: g, j: h})
+    return Presentation(ring, raw.gens + (degree,), columns)
+
+
+@pytest.mark.parametrize("char, variables", REFEREE_RINGS)
+def test_pruned_presentation_referee(char, variables):
+    """Built from a raw presentation, with or without added unit entries, a
+    module stores no degree-0 entry; its `is_zero()` agrees with Groebner
+    membership of every raw generator in the raw relation span, and its
+    Hilbert function with row reduction on the raw presentation."""
+    ring = GradedRing(Field(char), variables)
+    rng = random.Random(REFEREE_RINGS.index((char, variables)))
+    one = ring.one()
+    raws = [Presentation(ring, (0,), []), Presentation(ring, (0,), [{0: one}])]
+    for seed in range(8):
+        raw = raw_cohomology(random_perfect_complex(ring, seed, max_gens=6, steps=3))
+        raws += [raw, _with_unit_entries(raw, rng)]
+    outcomes = set()
+    for raw in raws:
+        module = GradedModule(ring, raw.gens, raw.relations)
+        assert all(p.homogeneous_degree() != 0 for col in module.relations for _, p in col)
+        vectors, _ = relation_span_data(raw)
+        basis = SubmoduleBasis.generate(vectors, FreeContext(ring, raw.gens))
+        zero = all(basis.contains(poly_to_vec(one, i)) for i in range(len(raw.gens)))
+        assert module.is_zero() == zero, raw.relations
+        outcomes.add(zero)
+        lo = min(raw.gens, default=0)
+        for degree in range(lo, lo + 5):
+            assert module.hilbert_dimension(degree) == hilbert_oracle(raw, degree), degree
+    assert outcomes == {True, False}
 
 
 def test_in_thick_transitive(catalogue_q):

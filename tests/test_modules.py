@@ -3,11 +3,13 @@ import random
 import pytest
 
 from oracles import (
+    Presentation,
     annihilator_dimension_oracle,
     direct_sum_modules,
     hilbert_oracle,
     shift_module,
 )
+from test_invariants import raw_cohomology
 from ttgkit import HomIdeal, InputError
 from ttgkit.complexes import cohomology, random_perfect_complex
 from ttgkit.modules import (
@@ -58,23 +60,25 @@ def test_annihilator_soundness(setup):
 
 
 def test_colon_edge_cases(setup):
-    """A free module, R/(1) and a single-generator core, against the oracle."""
+    """A free module, R/(1) and a unit entry cancelled down to one generator,
+    against the oracle on the presentation as given."""
     ring, x, y, _ = setup
     free = GradedModule(ring, (0, 2))
     assert free.annihilator().is_zero()
     assert all(t.is_zero() for t in free.transporters())
     unit = quotient_module(ring, HomIdeal(ring, [ring.one()]))
     assert unit.annihilator().is_unit()
-    assert [t.is_unit() for t in unit.transporters()] == [True]
-    # e1 = -y*e0 modulo the first relation, so the core is R/(x^2) in degree 2.
-    module = GradedModule(ring, (2, 4), [{0: y, 1: ring.one()}, {0: x * x}])
-    assert module.core().gens == (2,)
+    assert unit.gens == () and unit.transporters() == ()
+    # e1 = -y*e0 modulo the first relation, so the module is R/(x^2) in degree 2.
+    raw = Presentation(ring, (2, 4), [{0: y, 1: ring.one()}, {0: x * x}])
+    module = GradedModule(ring, raw.gens, raw.relations)
+    assert module.gens == (2,)
     square = HomIdeal(ring, [x * x])
     assert module.annihilator().same_ideal(square)
     assert all(t.same_ideal(square) for t in module.transporters())
     ann = module.annihilator().groebner_basis()
     for d in range(0, 9):
-        expected = annihilator_dimension_oracle(module, d)
+        expected = annihilator_dimension_oracle(raw, d)
         assert len(ring.monomials_of_weight(d)) - ann.standard_monomial_count(d) == expected
 
 
@@ -121,58 +125,61 @@ def test_hilbert_matches_rowreduction_oracle(setup):
     del rng
 
 
-def test_core_cancels_one_unit_entry(setup):
+def test_constructor_cancels_one_unit_entry(setup):
     ring, x, y, _ = setup
     # e1 = -x*e0 modulo the first relation, so y*e1 = 0 becomes x*y*e0 = 0.
-    module = GradedModule(ring, (0, 2), [{0: x, 1: ring.one()}, {1: y}])
-    core = module.core()
-    assert core.gens == (0,)
-    assert core.relations == (((0, -(x * y)),),)
-    assert core.core() is core
-    assert module.dimension_table(-2, 12) == core.dimension_table(-2, 12)
+    raw = Presentation(ring, (0, 2), [{0: x, 1: ring.one()}, {1: y}])
+    module = GradedModule(ring, raw.gens, raw.relations)
+    assert module.gens == (0,)
+    assert module.relations == (((0, -(x * y)),),)
+    again = GradedModule(ring, module.gens, module.relations)
+    assert (again.gens, again.relations) == (module.gens, module.relations)
     for d in range(-2, 13):
-        assert module.hilbert_dimension(d) == hilbert_oracle(module, d)
+        assert module.hilbert_dimension(d) == hilbert_oracle(raw, d)
     assert module.annihilator().same_ideal(HomIdeal(ring, [x * y]))
     ann = module.annihilator().groebner_basis()
     for d in range(0, 9):
-        expected = annihilator_dimension_oracle(module, d)
-        assert expected == annihilator_dimension_oracle(core, d)
+        expected = annihilator_dimension_oracle(raw, d)
+        assert expected == annihilator_dimension_oracle(module, d)
         assert len(ring.monomials_of_weight(d)) - ann.standard_monomial_count(d) == expected
 
 
-def test_core_without_unit_entries_is_self(setup):
+def test_constructor_keeps_presentations_without_unit_entries(setup):
     ring, x, y, _ = setup
-    for module in (
-        GradedModule(ring, (0, 2)),
-        quotient_module(ring, HomIdeal(ring, [x, y])),
-        GradedModule(ring, (0, 2), [{0: x * x, 1: y}, {1: x * x}]),
+    for gens, relations in (
+        ((0, 2), []),
+        ((0,), [{0: x}, {0: y}]),
+        ((0, 2), [{0: x * x, 1: y}, {1: x * x}]),
     ):
-        assert module.core() is module
+        module = GradedModule(ring, gens, relations)
+        assert module.gens == gens
+        assert [dict(col) for col in module.relations] == relations
 
 
-def test_core_of_unit_quotient_has_no_generators(setup):
+def test_unit_quotient_has_no_generators(setup):
     ring, *_ = setup
     module = quotient_module(ring, HomIdeal(ring, [ring.one()]))
-    core = module.core()
-    assert core.gens == () and core.relations == ()
+    assert module.gens == () and module.relations == ()
+    assert module.is_zero()
     assert module.annihilator().is_unit()
     assert all(module.hilbert_dimension(d) == 0 for d in range(-2, 7))
 
 
-def test_core_leaves_no_degree_zero_entry(ring_q, ring_f5):
-    def has_unit_entry(module):
-        return any(p.homogeneous_degree() == 0 for col in module.relations for _, p in col)
+def test_constructor_leaves_no_degree_zero_entry(ring_q, ring_f5):
+    def has_unit_entry(presentation):
+        return any(p.homogeneous_degree() == 0
+                   for col in presentation.relations for _, p in dict(col).items())
 
     rng = random.Random(733)
     shrunk = 0
     for ring in (ring_q, ring_f5):
         for _ in range(12):
-            module = cohomology(random_perfect_complex(ring, rng.randrange(2**30),
-                                                       max_gens=10, steps=5))
-            core = module.core()
-            assert not has_unit_entry(core), module
-            assert (core is not module) == has_unit_entry(module), module
-            shrunk += core is not module
+            x = random_perfect_complex(ring, rng.randrange(2**30), max_gens=10, steps=5)
+            raw = raw_cohomology(x)
+            module = cohomology(x)
+            assert not has_unit_entry(module), module
+            assert (len(module.gens) < len(raw.gens)) == has_unit_entry(raw), module
+            shrunk += len(module.gens) < len(raw.gens)
     assert shrunk > 0
 
 
