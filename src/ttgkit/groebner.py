@@ -11,7 +11,11 @@ position.  One tagged completion serves two jobs: every element of the
 augmented module keeps, in its tag coordinates, an exact expression of its
 leading-block part in terms of the tagged rows, so `syzygy_module` tags every
 row, and `colon`, the one routine behind every transporter, ideal quotient,
-intersection and annihilator, tags a single row.
+intersection and annihilator, tags a single row.  The rows `colon` is given
+must be a monic Groebner basis, as every caller already holds one: they are
+kept as given and no S-pair is formed between two of them.  A completion
+reduces only the blocks its caller reads: `colon` and the syzygies read the
+tag block, and a `LiftBasis` reduces the rest on its first `divide`.
 
 Everything here is a pure function of its inputs; ideal bases are memoized in
 a process-wide table keyed by ring and generator values (concurrent fills
@@ -89,6 +93,7 @@ class _Index:
             raise InternalError(f"basis vector with lead coefficient {vec[lead]}, not 1")
         pos, expt = lead
         self.by_pos.setdefault(pos, []).append((expt, vec))
+        return lead
 
     def find(self, key):
         pos, expt = key
@@ -164,18 +169,29 @@ def _spair(v1, e1, v2, e2, field):
 
 def buchberger_module(rows, ctx):
     """Reduced Groebner basis of the submodule generated by the given vectors."""
+    basis, leads = _complete((), rows, ctx)
+    return _reduce_basis(basis, leads, ctx)
+
+
+def _complete(known, rows, ctx):
+    """A Groebner basis of the span of known and rows, with its leads; not reduced.
+
+    known must be a monic Groebner basis.  Its elements are kept as given,
+    ahead of the rows, no normal form is taken of them, and S-pairs are
+    formed only with later elements: a pair inside known reduces to zero
+    over known.  The rows are normal-formed in lead order and made monic.
+    """
     field = ctx.ring.field
-    basis = []
-    leads = []
+    basis = list(known)
     index = _Index(ctx)
+    leads = [index.add(vec) for vec in basis]
 
     def append(vec):
         lead = vec_lead(vec, ctx)
         inv = field.inv(vec[lead])
         vec = {k: field.mul(inv, c) for k, c in vec.items()}
         basis.append(vec)
-        leads.append(lead)
-        index.add(vec)
+        leads.append(index.add(vec))
 
     seed = sorted((r for r in rows if r), key=lambda v: ctx.term_key(vec_lead(v, ctx)))
     for row in seed:
@@ -197,7 +213,7 @@ def buchberger_module(rows, ctx):
             heapq.heappush(heap, (ctx.term_key((pnew, lcm)), j, new_idx))
 
     heap = []
-    for i in range(len(basis)):
+    for i in range(len(known), len(basis)):
         push_pairs(heap, i)
     while heap:
         _, i, j = heapq.heappop(heap)
@@ -206,31 +222,37 @@ def buchberger_module(rows, ctx):
         if nf:
             append(nf)
             push_pairs(heap, len(basis) - 1)
-    return _reduce_basis(basis, leads, ctx)
+    return basis, leads
 
 
-def _reduce_basis(basis, leads, ctx):
-    """Minimalize and tail-reduce into the unique reduced basis.
+def _reduce_basis(basis, leads, ctx, others=()):
+    """Minimalize per position and tail-reduce into the unique reduced basis.
 
-    Tails are reduced against the full minimal index: a tail term is never
-    divisible by its own element's lead (the quotient would make it larger),
-    so the element itself is never used in its own reduction.  The output is
-    sorted by lead, like the minimal elements.
+    Only leads at the same position divide each other, so each position
+    keeps its own list of minimal leads; sorted by lead, a divisor comes
+    before its multiples, and the output keeps that order.  Tails are
+    reduced against the minimal elements together with `others`, the
+    reduced elements at the remaining positions of the same Groebner basis
+    (a caller that reads only some positions reduces only those).  A tail
+    term is never divisible by its own element's lead (the quotient would
+    make it larger), so no element is used in its own reduction.
     """
-    field = ctx.ring.field
+    kept = {}
     minimal = []
     for lead, vec in sorted(zip(leads, basis), key=lambda t: ctx.term_key(t[0])):
         pos, expt = lead
-        if not any(mpos == pos and all(a <= b for a, b in zip(mexpt, expt))
-                   for (mpos, mexpt), _ in minimal):
+        divisors = kept.setdefault(pos, [])
+        if not any(all(a <= b for a, b in zip(d, expt)) for d in divisors):
+            divisors.append(expt)
             minimal.append((lead, vec))
-    index = _Index(ctx, [vec for _, vec in minimal])
+    index = _Index(ctx, [vec for _, vec in minimal] + list(others))
+    one = ctx.ring.field.one
     out = []
     for lead, vec in minimal:
         tail = dict(vec)
         del tail[lead]
         reduced = normal_form_vec(tail, index, ctx)
-        reduced[lead] = field.one
+        reduced[lead] = one
         out.append(reduced)
     return out
 
@@ -258,42 +280,36 @@ class SubmoduleBasis:
     def contains(self, vec) -> bool:
         return not self.normal_form(vec)
 
-    def standard_monomial_count(self, degree: int) -> int:
-        """k-dimension of (free module / this submodule) in the given degree."""
-        count = 0
-        ring = self.ctx.ring
-        for pos in range(self.ctx.block):
-            d = degree - self.ctx.degrees[pos]
-            for expt in ring.monomials_of_weight(d):
-                if self._index.find((pos, expt)) is None:
-                    count += 1
-        return count
 
+def _tagged_completion(ctx, known, tagged, tag_degrees):
+    """Complete known and each tagged[i] + t_i, with a tag block t below ctx.
 
-def _tagged_completion(ctx, rows, tagged, tag_degrees):
-    """Complete rows and each tagged[i] + t_i, with a tag block t below ctx.
-
-    Returns (tags, span, tag_ctx): the completed elements that lie in the tag
-    block, moved to positions from 0, the elements that do not, and the
-    augmented context.  A tag-block element sum_i a_i t_i records the
-    relation sum_i a_i tagged[i] in the span of rows.
+    known must be a monic Groebner basis in ctx (possibly empty); its
+    elements are kept as given (`_complete`).  Returns (tags, rest,
+    tag_ctx): the reduced basis of the completed elements that lie in the
+    tag block, still in their tag positions, the other elements, neither
+    minimalized nor reduced, and the augmented context.  A tag-block element
+    sum_i a_i t_i records the relation sum_i a_i tagged[i] in the span of
+    known.  A tag-block element has every term in the tag block, where only
+    tag-block leads divide, so its reduction needs no other element.
     """
     ncols = len(ctx.degrees)
     tag_ctx = FreeContext(ctx.ring, ctx.degrees + tuple(tag_degrees), block=ncols)
     zero_expt = (0,) * ctx.ring.nvars
-    aug_rows = list(rows)
+    aug_rows = []
     for i, vec in enumerate(tagged):
         row = dict(vec)
         row[(ncols + i, zero_expt)] = ctx.ring.field.one
         aug_rows.append(row)
-    tags = []
-    span = []
-    for vec in buchberger_module(aug_rows, tag_ctx):
-        if all(pos >= ncols for pos, _ in vec):
-            tags.append({(pos - ncols, expt): c for (pos, expt), c in vec.items()})
+    basis, leads = _complete(known, aug_rows, tag_ctx)
+    tag_basis, tag_leads, rest = [], [], []
+    for vec, lead in zip(basis, leads):
+        if lead[0] >= ncols:
+            tag_basis.append(vec)
+            tag_leads.append(lead)
         else:
-            span.append(vec)
-    return tags, span, tag_ctx
+            rest.append(vec)
+    return _reduce_basis(tag_basis, tag_leads, tag_ctx), rest, tag_ctx
 
 
 def syzygy_module(rows, degrees, ctx_cols):
@@ -304,14 +320,27 @@ def syzygy_module(rows, degrees, ctx_cols):
     sum_i a_i rows[i] = 0, and lift is a LiftBasis for expressing members of
     the row span in terms of the rows.
     """
-    syzygies, span, aug_ctx = _tagged_completion(ctx_cols, (), rows, degrees)
-    return syzygies, LiftBasis(aug_ctx, span)
+    tags, rest, aug_ctx = _tagged_completion(ctx_cols, (), rows, degrees)
+    ncols = aug_ctx.block
+    syzygies = [{(pos - ncols, expt): c for (pos, expt), c in vec.items()} for vec in tags]
+    return syzygies, LiftBasis(aug_ctx, rest, tags)
 
 
 class LiftBasis(SubmoduleBasis):
-    """The non-tag part of a tagged completion; the tag block starts at ctx.block."""
+    """The non-tag part of a tagged completion; the tag block starts at ctx.block.
 
-    __slots__ = ()
+    Built from the non-tag elements as the completion left them, together
+    with the reduced tag block (`tags`, in tag positions).  The first
+    `divide` minimalizes the non-tag elements and reduces their tails
+    against both, into the reduced basis: the lifts it returns are read off
+    those tails, so they are the same however the basis was completed.
+    """
+
+    __slots__ = ("_tags",)
+
+    def __init__(self, ctx, elements, tags=()):
+        super().__init__(ctx, elements)
+        self._tags = tags
 
     def divide(self, vec):
         """vec = remainder + sum_i coeffs[i] * rows[i]; returns (remainder, coeffs).
@@ -321,6 +350,12 @@ class LiftBasis(SubmoduleBasis):
         tag term: the normal form reduces only leading-block terms, and the
         tag terms it accumulates are minus the lift.
         """
+        if self._tags is not None:
+            ctx = self.ctx
+            leads = [vec_lead(v, ctx) for v in self.elements]
+            self.elements = _reduce_basis(self.elements, leads, ctx, self._tags)
+            self._index = _Index(ctx, self.elements)
+            self._tags = None
         field = self.ctx.ring.field
         ncols = self.ctx.block
         remainder = {}
@@ -431,15 +466,19 @@ class HomIdeal:
 def colon(rows, vec, ctx) -> HomIdeal:
     """The colon (N : vec) = {f | f * vec in N}, N the span of rows in ctx.
 
-    The row vec + t is completed together with rows, in a free module with
-    one tag position t of degree deg vec ranked below every position of ctx.
-    An element of the span is n + f*(vec + t) with n in N; it lies in the tag
-    block exactly when f*vec = -n, so the tag-block elements of the completed
-    basis are f*t for f generating the colon (elimination; Eisenbud,
-    Commutative Algebra, section 15.10).  vec must be nonzero and homogeneous.
+    rows must be a monic Groebner basis of N in ctx, such as the elements of
+    a `SubmoduleBasis`; they are kept as given and no S-pair is formed
+    between two of them.  The row vec + t is completed together with rows,
+    in a free module with one tag position t of degree deg vec ranked below
+    every position of ctx.  An element of the span is n + f*(vec + t) with n
+    in N; it lies in the tag block exactly when f*vec = -n, so the tag-block
+    elements of the completed basis are f*t for f generating the colon
+    (elimination; Eisenbud, Commutative Algebra, section 15.10).  Only that
+    block is reduced.  vec must be nonzero and homogeneous.
     """
     tags, _, _ = _tagged_completion(ctx, rows, [vec], [ctx.degree(vec)])
-    return HomIdeal(ctx.ring, [vec_component(v, 0, ctx.ring) for v in tags])
+    ncols = len(ctx.degrees)
+    return HomIdeal(ctx.ring, [vec_component(v, ncols, ctx.ring) for v in tags])
 
 
 def ideal_quotient(ideal: HomIdeal, f: Polynomial) -> HomIdeal:
@@ -450,16 +489,20 @@ def ideal_quotient(ideal: HomIdeal, f: Polynomial) -> HomIdeal:
     ring = ideal.ring
     if f.ring != ring:
         raise InputError("polynomial ring mismatch")
-    rows = [poly_to_vec(g) for g in ideal.generators]
-    return colon(rows, poly_to_vec(f), FreeContext(ring, (0,)))
+    basis = ideal.groebner_basis()
+    return colon(basis.elements, poly_to_vec(f), basis.ctx)
 
 
 def ideal_intersection(first: HomIdeal, second: HomIdeal) -> HomIdeal:
-    """The intersection as the colon (first*e_0 + second*e_1 : e_0 + e_1) in R^2."""
+    """The intersection as the colon (first*e_0 + second*e_1 : e_0 + e_1) in R^2.
+
+    The two reduced bases, one per position, together form a Groebner basis.
+    """
     ring = first.ring
     if second.ring != ring:
         raise InputError("ideal ring mismatch")
-    rows = [poly_to_vec(g, pos) for pos, ideal in enumerate((first, second))
-            for g in ideal.generators]
+    rows = [{(pos, expt): c for (_, expt), c in v.items()}
+            for pos, ideal in enumerate((first, second))
+            for v in ideal.groebner_basis().elements]
     diagonal = row_to_vec([(0, ring.one()), (1, ring.one())])
     return colon(rows, diagonal, FreeContext(ring, (0, 0)))

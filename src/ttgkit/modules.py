@@ -8,7 +8,10 @@ are a minimal set; the module is zero exactly when there are none.  The
 annihilator of a module with k generators is one colon (`groebner.colon`):
 (N^k : sum_i e_i^(i)) in k twisted copies of the free module, read off a
 single completion with one tag position (elimination; Eisenbud, Commutative
-Algebra, section 15.10).  The Hilbert function counts standard monomials.
+Algebra, section 15.10); the reduced relation basis is already a Groebner
+basis of each copy, so the colon keeps it as given.  The Hilbert function is
+read off one numerator per module, computed from the lead terms of that
+basis (Bayer and Stillman, J. Symb. Comp. 14, 1992).
 
 Localization at a prime is never materialized: every p-local statement is
 reduced to a rank over the fraction field Frac(R/p) of the quotient domain.
@@ -19,8 +22,11 @@ reductions are valid because all modules produced here are finitely
 generated.
 """
 
+from functools import lru_cache
+
 from .errors import HomogeneityError, InputError, frozen_attribute
-from .groebner import FreeContext, HomIdeal, SubmoduleBasis, colon, poly_to_vec, row_to_vec
+from .groebner import (FreeContext, HomIdeal, SubmoduleBasis, colon, poly_to_vec, row_to_vec,
+                       vec_lead)
 from .rings import GradedRing, Polynomial
 
 
@@ -68,7 +74,7 @@ class GradedModule:
     minimal, and every query reads that one presentation.
     """
 
-    __slots__ = ("ring", "gens", "relations", "_rel_basis", "_annihilator")
+    __slots__ = ("ring", "gens", "relations", "_rel_basis", "_annihilator", "_numerator")
 
     def __init__(self, ring: GradedRing, gens, relations=()):
         gens = tuple(int(d) for d in gens)
@@ -99,6 +105,7 @@ class GradedModule:
         self.relations = tuple(dict.fromkeys(canon))
         self._rel_basis = None
         self._annihilator = None
+        self._numerator = None
 
     # -- presentation plumbing ------------------------------------------------
 
@@ -163,8 +170,28 @@ class GradedModule:
         return self._annihilator
 
     def hilbert_dimension(self, degree: int) -> int:
-        """Exact k-dimension of the degree component, via standard monomials."""
-        return self.rel_basis().standard_monomial_count(degree)
+        """Exact k-dimension of the degree component, read off the Hilbert numerator.
+
+        The standard monomials at position i are those outside the lead
+        ideal L_i, so the Hilbert series is sum_i t^(deg e_i) K(R/L_i) over
+        prod_j (1 - t^(w_j)), with K the numerator of `_monomial_numerator`.
+        It is computed once per module; a degree then costs one monomial
+        count per numerator term.
+        """
+        if self._numerator is None:
+            basis = self.rel_basis()
+            leads = {}
+            for vec in basis.elements:
+                pos, expt = vec_lead(vec, basis.ctx)
+                leads.setdefault(pos, []).append(expt)
+            numerator = {}
+            for pos, shift in enumerate(self.gens):
+                for d, c in _monomial_numerator(self.ring.weights,
+                                                 leads.get(pos, [])).items():
+                    numerator[d + shift] = numerator.get(d + shift, 0) + c
+            self._numerator = tuple((d, c) for d, c in sorted(numerator.items()) if c)
+        weights = self.ring.weights
+        return sum(c * _monomial_count(weights, degree - d) for d, c in self._numerator)
 
     def dimension_table(self, lo: int, hi: int) -> GradedDimensionTable:
         return GradedDimensionTable(
@@ -179,6 +206,42 @@ class GradedModule:
                 [str(entries.get(i, self.ring.zero())) for i in range(len(self.gens))]
             )
         return {"gens": list(self.gens), "relations": matrix}
+
+
+def _monomial_numerator(weights, monomials):
+    """K-polynomial of R/(monomials) as {degree: coefficient}.
+
+    The Hilbert series of R/L is K(R/L) / prod_j (1 - t^(w_j)).  Adding the
+    generators m_1, ..., m_r in lex order, each step is K(I + (m)) = K(I) -
+    t^(deg m) K(I : m) (Bayer and Stillman, "Computation of Hilbert
+    functions", J. Symb. Comp. 14, 1992).  m has the largest first exponent
+    so far, so the minimal generators m_i / gcd(m_i, m) of (I : m) do
+    without the first variable, and the recursion is at most as deep as the
+    number of variables.
+    """
+    monomials = sorted(monomials)
+    out = {0: 1}
+    for i, m in enumerate(monomials):
+        quotient = []
+        for g in sorted({tuple(max(a - b, 0) for a, b in zip(g, m)) for g in monomials[:i]},
+                        key=sum):
+            if not any(all(a <= b for a, b in zip(q, g)) for q in quotient):
+                quotient.append(g)
+        shift = sum(w * e for w, e in zip(weights, m))
+        for d, c in _monomial_numerator(weights, quotient).items():
+            out[d + shift] = out.get(d + shift, 0) - c
+    return out
+
+
+@lru_cache(maxsize=None)
+def _monomial_count(weights, degree):
+    """Number of monomials of the given weighted degree."""
+    if degree < 0:
+        return 0
+    if not weights:
+        return int(degree == 0)
+    w, rest = weights[0], weights[1:]
+    return sum(_monomial_count(rest, degree - e * w) for e in range(degree // w + 1))
 
 
 def _cancel_units(ring: GradedRing, gens, cols):

@@ -1,4 +1,5 @@
 import random
+import zlib
 
 import pytest
 
@@ -20,6 +21,7 @@ from ttgkit.groebner import (
     poly_to_vec,
     syzygy_module,
 )
+from ttgkit.modules import quotient_module
 
 
 def test_normal_form_examples(ring_q):
@@ -154,9 +156,10 @@ def test_ideal_intersection_dimensions_against_oracle(request, ring_name):
                  for _ in range(rng.randint(1, 3))]
         second = [random_homogeneous(ring, rng, max_degree=6)
                   for _ in range(rng.randint(1, 3))]
-        basis = ideal_intersection(HomIdeal(ring, first), HomIdeal(ring, second)).groebner_basis()
+        inter = quotient_module(ring, ideal_intersection(HomIdeal(ring, first),
+                                                         HomIdeal(ring, second)))
         for d in range(0, 13):
-            engine = len(ring.monomials_of_weight(d)) - basis.standard_monomial_count(d)
+            engine = len(ring.monomials_of_weight(d)) - inter.hilbert_dimension(d)
             expected = (oracle_dim(first, d) + oracle_dim(second, d)
                         - oracle_dim(first + second, d))
             assert engine == expected, (d, [str(g) for g in first], [str(g) for g in second])
@@ -172,8 +175,7 @@ RINGS = [
 @pytest.mark.parametrize("label,make", RINGS)
 def test_membership_matches_oracle(label, make):
     ring = make()
-    rng = random.Random(hash(label) & 0xFFFF)
-    agree = 0
+    rng = random.Random(zlib.crc32(label.encode()))
     for _ in range(40):
         gens = [random_homogeneous(ring, rng, max_degree=8)
                 for _ in range(rng.randint(1, 3))]
@@ -185,8 +187,6 @@ def test_membership_matches_oracle(label, make):
         engine = ideal.normal_form(f).is_zero()
         oracle = membership_oracle(f, gens)
         assert engine == oracle
-        agree += 1
-    assert agree == 40
 
 
 def test_syzygy_dimensions_match_oracle(ring_q):

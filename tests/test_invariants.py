@@ -16,12 +16,13 @@ from oracles import (
     poly_vector,
     relation_span_data,
 )
-from ttgkit import GradedRing, HomIdeal, complexes, ideal_quotient
+from ttgkit import GradedRing, HomIdeal, complexes, ideal_intersection, ideal_quotient
 from ttgkit.cli import main
 from ttgkit.classify import in_thick
 from ttgkit.complexes import cohomology, random_homogeneous, random_perfect_complex, tensor
 from ttgkit.fields import Field
-from ttgkit.groebner import FreeContext, SubmoduleBasis, poly_to_vec
+from ttgkit.groebner import (FreeContext, SubmoduleBasis, buchberger_module, colon, poly_to_vec,
+                             vec_component)
 from ttgkit.modules import GradedModule, is_zero_localized, quotient_module
 from ttgkit.spectrum import (
     PrimePoint,
@@ -73,10 +74,10 @@ def test_ideal_quotient_complete_against_oracle(ring_q):
                 for _ in range(rng.randint(1, 2))]
         f = random_homogeneous(ring_q, rng, max_degree=4)
         quotient = ideal_quotient(HomIdeal(ring_q, gens), f)
-        basis = quotient.groebner_basis()
+        cyclic = quotient_module(ring_q, quotient)
         for d in range(0, 11):
             total = len(ring_q.monomials_of_weight(d))
-            engine_dim = total - basis.standard_monomial_count(d)
+            engine_dim = total - cyclic.hilbert_dimension(d)
             oracle_dim = _quotient_space_dimension(gens, f, ring_q, d)
             assert engine_dim == oracle_dim, (d, [str(g) for g in gens], str(f))
 
@@ -149,10 +150,10 @@ def test_annihilator_and_hilbert_match_oracles(request, catalogue_name):
         module, raw = cohomology(x), raw_cohomology(x)
         if len(module.gens) < len(raw.gens):
             cancelled += 1
-        basis = module.annihilator().groebner_basis()
+        cyclic = quotient_module(ring, module.annihilator())
         for degree in range(0, 9):
             engine = (len(ring.monomials_of_weight(degree))
-                      - basis.standard_monomial_count(degree))
+                      - cyclic.hilbert_dimension(degree))
             assert engine == annihilator_dimension_oracle(raw, degree), (module, degree)
         lo = min(raw.gens, default=0)
         for degree in range(lo - 2, lo + 9):
@@ -177,10 +178,10 @@ def test_transporters_match_oracle(request, catalogue_name):
         transporters = module.transporters()
         assert len(transporters) == len(module.gens)
         for i, transporter in enumerate(transporters):
-            basis = transporter.groebner_basis()
+            cyclic = quotient_module(ring, transporter)
             for degree in range(0, 7):
                 engine = (len(ring.monomials_of_weight(degree))
-                          - basis.standard_monomial_count(degree))
+                          - cyclic.hilbert_dimension(degree))
                 assert engine == annihilator_dimension_oracle(module, degree, indices=(i,)), (
                     module, i, degree,
                 )
@@ -219,10 +220,10 @@ def test_multi_ring_referee_sweep(char, variables):
         assert residue_supported_primes(x, primes) == annihilator_route, seed
         rank_route = [p for p in primes if not is_zero_localized(module, p)]
         assert rank_route == annihilator_route, seed
-        basis = module.annihilator().groebner_basis()
+        cyclic = quotient_module(ring, module.annihilator())
         for degree in range(0, 9):
             engine = (len(ring.monomials_of_weight(degree))
-                      - basis.standard_monomial_count(degree))
+                      - cyclic.hilbert_dimension(degree))
             assert engine == annihilator_dimension_oracle(module, degree), (seed, degree)
 
 
@@ -281,6 +282,70 @@ def test_pruned_presentation_referee(char, variables):
         for degree in range(lo, lo + 5):
             assert module.hilbert_dimension(degree) == hilbert_oracle(raw, degree), degree
     assert outcomes == {True, False}
+
+
+def _colon_by_full_completion(rows, vec, ctx):
+    """(span of rows : vec) from a completion of rows and vec + t that
+    normal-forms every row and forms every S-pair; the tag-block elements."""
+    ring = ctx.ring
+    ncols = len(ctx.degrees)
+    tag_ctx = FreeContext(ring, ctx.degrees + (ctx.degree(vec),), block=ncols)
+    tagged = dict(vec)
+    tagged[(ncols, (0,) * ring.nvars)] = ring.field.one
+    completed = buchberger_module(list(rows) + [tagged], tag_ctx)
+    return [vec_component(v, ncols, ring) for v in completed
+            if all(pos >= ncols for pos, _ in v)]
+
+
+@pytest.mark.parametrize("char, variables", REFEREE_RINGS)
+def test_colon_on_a_basis_matches_full_completion(char, variables):
+    """`colon` keeps its rows as a Groebner basis and forms no pair inside it;
+    a completion that normal-forms every row and forms every pair must give
+    the same reduced tag block.  Cases: the transporters and the annihilator
+    of raw cohomology presentations, and seeded ideal quotients and
+    intersections, whose full completion starts from the raw generators."""
+    ring = GradedRing(Field(char), variables)
+    rng = random.Random(REFEREE_RINGS.index((char, variables)))
+    one = ring.one()
+    cases = 0
+    for seed in range(8):
+        raw = raw_cohomology(random_perfect_complex(ring, seed, max_gens=6, steps=3))
+        vectors, _ = relation_span_data(raw)
+        basis = SubmoduleBasis.generate(vectors, FreeContext(ring, raw.gens))
+        for i in range(len(raw.gens)):
+            e_i = poly_to_vec(one, i)
+            assert (colon(basis.elements, e_i, basis.ctx).generators
+                    == tuple(_colon_by_full_completion(vectors, e_i, basis.ctx))), (seed, i)
+            cases += 1
+        k = len(raw.gens)
+        if k:
+            degrees = tuple(d - shift for shift in raw.gens for d in raw.gens)
+            ctx = FreeContext(ring, degrees)
+            diagonal = {(i * k + i, (0,) * ring.nvars): ring.field.one for i in range(k)}
+
+            def copies(vecs):
+                return [{(i * k + j, e): c for (j, e), c in v.items()}
+                        for i in range(k) for v in vecs]
+
+            assert (colon(copies(basis.elements), diagonal, ctx).generators
+                    == tuple(_colon_by_full_completion(copies(vectors), diagonal, ctx))), seed
+            cases += 1
+    for _ in range(8):
+        first = [random_homogeneous(ring, rng, max_degree=8) for _ in range(rng.randint(1, 3))]
+        second = [random_homogeneous(ring, rng, max_degree=8) for _ in range(rng.randint(1, 3))]
+        f = random_homogeneous(ring, rng, max_degree=6)
+        quotient = ideal_quotient(HomIdeal(ring, first), f)
+        full = _colon_by_full_completion([poly_to_vec(g) for g in first], poly_to_vec(f),
+                                      FreeContext(ring, (0,)))
+        assert quotient.generators == tuple(full), ([str(g) for g in first], str(f))
+        inter = ideal_intersection(HomIdeal(ring, first), HomIdeal(ring, second))
+        rows = [poly_to_vec(g, pos) for pos, gens in enumerate((first, second)) for g in gens]
+        diagonal = poly_to_vec(one, 0) | poly_to_vec(one, 1)
+        full = _colon_by_full_completion(rows, diagonal, FreeContext(ring, (0, 0)))
+        assert inter.generators == tuple(full), ([str(g) for g in first],
+                                                    [str(g) for g in second])
+        cases += 2
+    assert cases > 30
 
 
 def test_in_thick_transitive(catalogue_q):

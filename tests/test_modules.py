@@ -1,4 +1,6 @@
+import itertools
 import random
+from unittest import mock
 
 import pytest
 
@@ -10,8 +12,9 @@ from oracles import (
     shift_module,
 )
 from test_invariants import raw_cohomology
-from ttgkit import HomIdeal, InputError
-from ttgkit.complexes import cohomology, random_perfect_complex
+from ttgkit import HomIdeal, InputError, modules
+from ttgkit.complexes import cohomology, koszul_object, random_perfect_complex
+from ttgkit.groebner import FreeContext, SubmoduleBasis, poly_to_vec, syzygy_module, vec_lead
 from ttgkit.modules import (
     GradedDimensionTable,
     GradedModule,
@@ -20,6 +23,7 @@ from ttgkit.modules import (
     local_shift_multiset,
     quotient_module,
 )
+from ttgkit.rings import _monomials_of_weight
 from ttgkit.spectrum import PrimePoint
 
 
@@ -76,10 +80,10 @@ def test_colon_edge_cases(setup):
     square = HomIdeal(ring, [x * x])
     assert module.annihilator().same_ideal(square)
     assert all(t.same_ideal(square) for t in module.transporters())
-    ann = module.annihilator().groebner_basis()
+    ann = quotient_module(ring, module.annihilator())
     for d in range(0, 9):
         expected = annihilator_dimension_oracle(raw, d)
-        assert len(ring.monomials_of_weight(d)) - ann.standard_monomial_count(d) == expected
+        assert len(ring.monomials_of_weight(d)) - ann.hilbert_dimension(d) == expected
 
 
 def test_zero_module_annihilator_is_unit(setup):
@@ -125,6 +129,96 @@ def test_hilbert_matches_rowreduction_oracle(setup):
     del rng
 
 
+def _standard_monomial_dimension(module, degree):
+    """Monomials of each position's degree outside that position's lead ideal."""
+    basis = module.rel_basis()
+    leads = [vec_lead(v, basis.ctx) for v in basis.elements]
+    count = 0
+    for pos, shift in enumerate(module.gens):
+        divisors = [e for p, e in leads if p == pos]
+        for expt in module.ring.monomials_of_weight(degree - shift):
+            if not any(all(a <= b for a, b in zip(e, expt)) for e in divisors):
+                count += 1
+    return count
+
+
+def test_hilbert_numerator_against_oracle_and_enumeration(setup, catalogue_f5):
+    """The numerator's Hilbert function agrees with row reduction on the
+    presentation and with counting standard monomials: on R/(1), free
+    modules with shifted generators and cohomology modules, and over the
+    widest window the CLI allows on f5xyz."""
+    ring, x, y, _ = setup
+    unit = quotient_module(ring, HomIdeal(ring, [ring.one()]))
+    assert unit.gens == ()
+    assert unit.dimension_table(-4, 12).dims == (0,) * 17
+    modules = [unit, GradedModule(ring, (0, 2, 6)), GradedModule(ring, (-4, 2), [{1: x * y}])]
+    for seed in range(6):
+        modules.append(cohomology(random_perfect_complex(ring, seed, max_gens=8, steps=4)))
+    for module in modules:
+        for d in range(-6, 15):
+            expected = hilbert_oracle(module, d)
+            assert module.hilbert_dimension(d) == expected, (module, d)
+            assert _standard_monomial_dimension(module, d) == expected, (module, d)
+    ring5 = catalogue_f5.ring
+    z = ring5.variable("z")
+    wide = [cohomology(koszul_object(catalogue_f5.object("kxyz"), [z])),
+            cohomology(catalogue_f5.object("cx")), GradedModule(ring5, (-6, 2))]
+    for module in wide:
+        table = module.dimension_table(-400, 400)
+        for d in range(-400, 401, 9):
+            assert table.dimension(d) == _standard_monomial_dimension(module, d), (module, d)
+    assert table.dimension(400) == len(ring5.monomials_of_weight(406)) + len(
+        ring5.monomials_of_weight(398))
+
+
+def test_monomial_numerator_edge_cases_and_work():
+    """K(R/L) of monomial ideals: 1 in L gives zero, generators need not be
+    minimal, and the colons are minimalized, so the staircase (x, y, z)^10
+    costs a few calls per generator."""
+    weights = (2, 2, 4)
+    assert not any(modules._monomial_numerator(weights, [(0, 0, 0)]).values())
+    assert not any(modules._monomial_numerator(weights, [(1, 0, 2), (0, 0, 0)]).values())
+    assert modules._monomial_numerator(weights, []) == {0: 1}
+    rng = random.Random(71)
+    for _ in range(20):
+        gens = [tuple(rng.randrange(4) for _ in weights) for _ in range(rng.randint(1, 6))]
+        numerator = modules._monomial_numerator(weights, gens)
+        for d in range(0, 30):
+            counted = sum(1 for m in _monomials_of_weight(weights, d)
+                          if not any(all(a <= b for a, b in zip(g, m)) for g in gens))
+            total = sum(c * modules._monomial_count(weights, d - e)
+                        for e, c in numerator.items())
+            assert total == counted, (gens, d)
+    staircase = [e for e in itertools.product(range(11), repeat=3) if sum(e) == 10]
+    calls = []
+    original = modules._monomial_numerator
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    with mock.patch.object(modules, "_monomial_numerator", counting):
+        modules._monomial_numerator(weights, staircase)
+    assert len(calls) <= 5 * len(staircase)
+
+
+def test_minimalization_is_per_position(setup):
+    """x*e_1 divides x^2*e_0 exponent by exponent but not as a term: both
+    leads stay in the basis, in relation bases, colons and lifts alike."""
+    ring, x, y, _ = setup
+    ctx = FreeContext(ring, (0, 0))
+    rows = [poly_to_vec(x, 1), poly_to_vec(x * x, 0)]
+    basis = SubmoduleBasis.generate(rows, ctx)
+    assert sorted(vec_lead(v, ctx) for v in basis.elements) == [(0, (2, 0)), (1, (1, 0))]
+    assert all(basis.contains(row) for row in rows)
+    module = GradedModule(ring, (0, 0), [{1: x}, {0: x * x}])
+    for d in range(0, 9):
+        assert module.hilbert_dimension(d) == hilbert_oracle(module, d), d
+    assert module.annihilator().same_ideal(HomIdeal(ring, [x * x]))
+    _, lift = syzygy_module(rows, [2, 4], ctx)
+    assert lift.divide(poly_to_vec(x * x * y, 0)) == ({}, {(1, (0, 1)): 1})
+
+
 def test_constructor_cancels_one_unit_entry(setup):
     ring, x, y, _ = setup
     # e1 = -x*e0 modulo the first relation, so y*e1 = 0 becomes x*y*e0 = 0.
@@ -137,11 +231,11 @@ def test_constructor_cancels_one_unit_entry(setup):
     for d in range(-2, 13):
         assert module.hilbert_dimension(d) == hilbert_oracle(raw, d)
     assert module.annihilator().same_ideal(HomIdeal(ring, [x * y]))
-    ann = module.annihilator().groebner_basis()
+    ann = quotient_module(ring, module.annihilator())
     for d in range(0, 9):
         expected = annihilator_dimension_oracle(raw, d)
         assert expected == annihilator_dimension_oracle(module, d)
-        assert len(ring.monomials_of_weight(d)) - ann.standard_monomial_count(d) == expected
+        assert len(ring.monomials_of_weight(d)) - ann.hilbert_dimension(d) == expected
 
 
 def test_constructor_keeps_presentations_without_unit_entries(setup):
