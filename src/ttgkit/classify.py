@@ -28,7 +28,6 @@ from .complexes import (
     random_perfect_complex,
     shift,
     tensor,
-    unit_complex,
 )
 from .errors import InputError, TtgError
 from .modules import generic_rank, is_zero_localized, local_shift_multiset, pivot_columns
@@ -169,11 +168,24 @@ def _instance_rng(seed: int, index: int) -> random.Random:
     return random.Random(seed * 1000003 + index)
 
 
-def _random_object(catalogue, rng, monomial_only=False):
-    return random_perfect_complex(
-        catalogue.ring, rng.randrange(2**30), max_gens=6,
-        steps=3, monomial_only=monomial_only,
-    )
+def _instance_objects(catalogue, seed, n, monomial_only=False):
+    """The n seeded instance objects, each with the rng it was drawn from."""
+    for index in range(n):
+        rng = _instance_rng(seed, index)
+        yield random_perfect_complex(
+            catalogue.ring, rng.randrange(2**30), max_gens=6,
+            steps=3, monomial_only=monomial_only,
+        ), rng
+
+
+def _first_prime_witnesses(catalogue, seed, n, check):
+    """Per instance object x, the first witness `check(x, p)` over the primes.
+
+    The witness carries the object; an object no prime fails yields `None`.
+    """
+    for x, _ in _instance_objects(catalogue, seed, n):
+        witness = next(filter(None, (check(x, p) for p in catalogue.primes)), None)
+        yield None if witness is None else {**witness, "object": x.to_json_dict()}
 
 
 def _suite_residue_cohomology(catalogue, seed, n):
@@ -191,22 +203,16 @@ def _suite_residue_cohomology(catalogue, seed, n):
 
 
 def _suite_even_vanishing(catalogue, seed, n):
-    cases = []
-    for p in catalogue.primes:
-        for f in p.sequence:
-            cases.append((f"{p.name}", f))
-    for i in range(n):
-        rng = _instance_rng(seed, i)
-        cases.append(("random", random_homogeneous(catalogue.ring, rng)))
+    cases = [(p.name, f) for p in catalogue.primes for f in p.sequence]
+    cases += [("random", random_homogeneous(catalogue.ring, _instance_rng(seed, i)))
+              for i in range(n)]
     for label, f in cases:
         yield None if even_vanishing_check(f) else {"source": label, "element": str(f)}
 
 
 def _suite_zero_action(catalogue, seed, n):
     primes = [p for p in catalogue.primes if p.sequence]
-    for index in range(n):
-        rng = _instance_rng(seed, index)
-        x = _random_object(catalogue, rng)
+    for x, rng in _instance_objects(catalogue, seed, n):
         if not primes:
             yield None
             continue
@@ -214,33 +220,18 @@ def _suite_zero_action(catalogue, seed, n):
         depth = rng.randint(1, len(p.sequence))
         partial = p.sequence[:depth]
         built = koszul_object(x, partial)
-        for f in partial:
-            if not acts_as_zero_on_cohomology(f, built):
-                yield {
-                    "prime": p.name,
-                    "depth": depth,
-                    "element": str(f),
-                    "object": x.to_json_dict(),
-                }
-                break
-        else:
-            yield None
+        f = next((f for f in partial if not acts_as_zero_on_cohomology(f, built)), None)
+        yield None if f is None else {
+            "prime": p.name, "depth": depth, "element": str(f), "object": x.to_json_dict(),
+        }
 
 
 def _suite_nakayama(catalogue, seed, n):
-    for index in range(n):
-        rng = _instance_rng(seed, index)
-        x = _random_object(catalogue, rng)
-        base = cohomology(x)
-        for p in catalogue.primes:
-            lhs = is_zero_localized(base, p)
-            rhs = is_zero_localized(cohomology(koszul_object(x, p.sequence)), p)
-            if lhs != rhs:
-                yield {"prime": p.name, "lhs": lhs, "rhs": rhs,
-                       "object": x.to_json_dict()}
-                break
-        else:
-            yield None
+    def check(x, p):
+        lhs = is_zero_localized(cohomology(x), p)
+        rhs = is_zero_localized(cohomology(koszul_object(x, p.sequence)), p)
+        return None if lhs == rhs else {"prime": p.name, "lhs": lhs, "rhs": rhs}
+    return _first_prime_witnesses(catalogue, seed, n, check)
 
 
 def _tensor_residue_cohomology(x, p):
@@ -248,47 +239,31 @@ def _tensor_residue_cohomology(x, p):
 
 
 def _suite_vector_space(catalogue, seed, n):
-    for index in range(n):
-        rng = _instance_rng(seed, index)
-        x = _random_object(catalogue, rng)
-        for p in catalogue.primes:
-            module = _tensor_residue_cohomology(x, p)
-            unkilled = next((g for g in p.ideal.generators
-                             if module.unkilled_generator(g) is not None), None)
-            if unkilled is not None:
-                yield {"prime": p.name, "element": str(unkilled),
-                       "object": x.to_json_dict()}
-                break
-        else:
-            yield None
+    def check(x, p):
+        module = _tensor_residue_cohomology(x, p)
+        unkilled = next((g for g in p.ideal.generators
+                         if module.unkilled_generator(g) is not None), None)
+        return None if unkilled is None else {"prime": p.name, "element": str(unkilled)}
+    return _first_prime_witnesses(catalogue, seed, n, check)
 
 
 def _suite_decomposition(catalogue, seed, n):
-    for index in range(n):
-        rng = _instance_rng(seed, index)
-        x = _random_object(catalogue, rng)
-        for p in catalogue.primes:
-            module = _tensor_residue_cohomology(x, p)
-            try:
-                shifts = local_shift_multiset(module, p)
-            except InputError as err:
-                yield {"prime": p.name, "error": str(err),
-                       "object": x.to_json_dict()}
-                break
-            # K(p)_p ~ k(p), so H*(X (x) K(p))_p = H*(X (x) k(p)), the cohomology of
-            # D mod p, of dimension n - 2 rank(D mod p) (derived Nakayama).
-            if len(shifts) != len(x) - 2 * len(pivot_columns(x.rows, len(x), p)):
-                yield {"prime": p.name, "shifts": shifts,
-                       "object": x.to_json_dict()}
-                break
-        else:
-            yield None
+    def check(x, p):
+        module = _tensor_residue_cohomology(x, p)
+        try:
+            shifts = local_shift_multiset(module, p)
+        except InputError as err:
+            return {"prime": p.name, "error": str(err)}
+        # K(p)_p ~ k(p), so H*(X (x) K(p))_p = H*(X (x) k(p)), the cohomology of
+        # D mod p, of dimension n - 2 rank(D mod p) (derived Nakayama).
+        if len(shifts) != len(x) - 2 * len(pivot_columns(x.rows, len(x), p)):
+            return {"prime": p.name, "shifts": shifts}
+        return None
+    return _first_prime_witnesses(catalogue, seed, n, check)
 
 
 def _suite_detection(catalogue, seed, n):
-    for index in range(n):
-        rng = _instance_rng(seed, index)
-        x = _random_object(catalogue, rng, monomial_only=True)
+    for x, _ in _instance_objects(catalogue, seed, n, monomial_only=True):
         module = cohomology(x)
         empty = not residue_supported_primes(x, catalogue.primes)
         zero = module.is_zero()
@@ -299,9 +274,7 @@ def _suite_detection(catalogue, seed, n):
 
 def _suite_supp_agreement(catalogue, seed, n):
     cases = [catalogue.objects[name] for name in sorted(catalogue.objects)]
-    for i in range(n):
-        rng = _instance_rng(seed, i)
-        cases.append(_random_object(catalogue, rng))
+    cases += [x for x, _ in _instance_objects(catalogue, seed, n)]
     for x in cases:
         via = {p.name for p in residue_supported_primes(x, catalogue.primes)}
         mod = {p.name for p in module_supported_primes(cohomology(x), catalogue.primes)}
@@ -313,14 +286,11 @@ def _suite_supp_agreement(catalogue, seed, n):
 
 
 def _suite_homotopy(catalogue, seed, n):
-    one = unit_complex(catalogue.ring)
     for index in range(n):
-        rng = _instance_rng(seed, index)
-        f = random_homogeneous(catalogue.ring, rng)
-        h = action_null_homotopy(f)
-        g = central_action(f, cone(central_action(f, one)))
-        defect = homotopy_defect(h, g)
-        induced_zero = acts_as_zero_on_cohomology(f, cone(central_action(f, one)))
+        f = random_homogeneous(catalogue.ring, _instance_rng(seed, index))
+        h = action_null_homotopy(f)  # its target is cone(f . 1)
+        defect = homotopy_defect(h, central_action(f, h.target))
+        induced_zero = acts_as_zero_on_cohomology(f, h.target)
         yield None if not defect and induced_zero else {
             "element": str(f),
             "defect": [[i, j, str(p)] for i, j, p in defect],

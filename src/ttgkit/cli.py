@@ -11,7 +11,7 @@ import sys
 
 from .classify import Catalogue, SuiteReport, classify_catalogue, run_suite
 from .complexes import PerfectComplex, cohomology, koszul_object
-from .errors import CertificateError, InputError, TtgError
+from .errors import InputError, TtgError
 from .fields import Field
 from .modules import generic_rank
 from .rings import GradedRing
@@ -20,7 +20,7 @@ from .spectrum import PrimePoint, residue_field_object
 
 # Input budgets, checked before the algebra they bound; past them a command
 # exits 2.  The worst window on fixtures/f5xyz.json (`koszul kxyz z
-# --max-degree 400`) takes about 2.6 s and 66 MiB, and the slowest suite at
+# --max-degree 400`) takes about 0.4 s and 18 MiB, and the slowest suite at
 # `--n 60` (minimality-surrogate, seeds 1-4) at most 5.4 s, on a 2-vCPU VM.
 # At parse, MAX_PROBE_DEGREE also bounds the weighted degree of every
 # workspace polynomial and the absolute degree of every complex generator.
@@ -121,7 +121,7 @@ def parse_workspace(path: str) -> Workspace:
                for j, t in enumerate(_expect(spec, "seq", list, where))]
         try:
             primes.append(PrimePoint.create(ring, name, gens, seq))
-        except (InputError, CertificateError) as err:
+        except InputError as err:
             raise InputError(f"{where}: {err}") from None
 
     objects = {}
@@ -155,7 +155,7 @@ def parse_workspace(path: str) -> Workspace:
             entries[key] = entries.get(key, ring.zero()) + coef
         try:
             objects[name] = PerfectComplex(ring, degrees, entries, names=tuple(gen_names))
-        except (InputError, TtgError) as err:
+        except TtgError as err:
             raise InputError(f"{where}: {err}") from None
 
     return Workspace(Catalogue(ring, primes, objects))
@@ -332,7 +332,7 @@ def main(argv=None) -> int:
         _check_budgets(args)
         workspace = parse_workspace(args.input)
         result, code = execute(args, workspace)
-    except (InputError, CertificateError) as err:
+    except InputError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     if isinstance(result, SuiteReport):

@@ -13,7 +13,7 @@ class HomogeneityError(InputError):
     """A polynomial, matrix entry or relation violates the graded degree rule."""
 
 
-class CertificateError(TtgError):
+class CertificateError(InputError):
     """A prime's sequence is not in it, not regular, or does not generate it."""
 
 

@@ -48,10 +48,10 @@ class Field:
     """The ground field: Q for characteristic 0, F_p for prime p.
 
     An immutable value: equality and hash are those of the tuple
-    (characteristic,).
+    (characteristic,); `zero` and `one` are stored with it.
     """
 
-    __slots__ = ("characteristic",)
+    __slots__ = ("characteristic", "zero", "one")
     __setattr__ = __delattr__ = frozen_attribute
 
     def __init__(self, characteristic: int = 0):
@@ -61,6 +61,8 @@ class Field:
         if c != 0 and not _is_prime(c):
             raise InputError(f"characteristic {c} is not prime")
         object.__setattr__(self, "characteristic", c)
+        object.__setattr__(self, "zero", Fraction(0) if c == 0 else 0)
+        object.__setattr__(self, "one", Fraction(1) if c == 0 else 1)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -89,14 +91,6 @@ class Field:
         p = self.characteristic
         h = (p - 1) // 2
         return (n + h) % p - h
-
-    @property
-    def zero(self):
-        return Fraction(0) if self.characteristic == 0 else 0
-
-    @property
-    def one(self):
-        return Fraction(1) if self.characteristic == 0 else 1
 
     def add(self, a, b):
         return a + b if self.characteristic == 0 else self._sym(a + b)

@@ -240,31 +240,26 @@ def require_homogeneous(p: Polynomial, where: str = "polynomial") -> None:
 #
 # Whitespace is ignored.  Variables must be declared in the ring.
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[+\-*/^]))"
-)
+_SPACE = re.compile(r"\s*")
+_TOKEN = re.compile(r"(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[+\-*/^])")
 
 
 def _tokenize(text: str):
+    """(kind, value, start) triples; start is the token's own 0-based column."""
     tokens = []
-    pos = 0
+    pos = _SPACE.match(text).end()
     while pos < len(text):
         m = _TOKEN.match(text, pos)
         if m is None:
-            if text[pos:].strip() == "":
-                break
             raise InputError(f"unexpected character {text[pos]!r} at column {pos + 1}")
-        pos = m.end()
-        if m.group("num"):
+        kind, value = m.lastgroup, m.group()
+        if kind == "num":
             try:
-                value = int(m.group("num"))
+                value = int(value)
             except ValueError:  # past the interpreter's integer-string digit limit
-                raise InputError(f"number too long at column {m.start() + 1}") from None
-            tokens.append(("num", value, m.start()))
-        elif m.group("name"):
-            tokens.append(("name", m.group("name"), m.start()))
-        else:
-            tokens.append(("op", m.group("op"), m.start()))
+                raise InputError(f"number too long at column {pos + 1}") from None
+        tokens.append((kind, value, pos))
+        pos = _SPACE.match(text, m.end()).end()
     return tokens
 
 

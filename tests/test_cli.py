@@ -129,12 +129,16 @@ def test_parse_ignores_legacy_cert(qxy_path, tmp_path):
 
 
 def _fixture_with(keys, value, fixture="qxy"):
-    """A fixture as JSON text, with the value at the key path replaced."""
+    """A fixture as JSON text, with the value at the key path replaced, or
+    appended when the last key is the length of a list."""
     raw = json.loads((FIXTURES / f"{fixture}.json").read_text())
     target = raw
     for key in keys[:-1]:
         target = target[key]
-    target[keys[-1]] = value
+    if isinstance(target, list) and keys[-1] == len(target):
+        target.append(value)
+    else:
+        target[keys[-1]] = value
     return json.dumps(raw)
 
 
@@ -189,11 +193,16 @@ def _fixture_with(keys, value, fixture="qxy"):
      r":primes\[1\]: prime pp: not a prime ideal: it contains "
      r"\(x\^10\+y\^10\+z\^5\)\*\(x\^10\+y\^10\+z\^5\)\^4 "
      r"but not x\^10\+y\^10\+z\^5 or \(x\^10\+y\^10\+z\^5\)\^4$"),
+    (_fixture_with(["primes", 5], {"name": "pp", "gens": ["x"], "seq": ["x", "x"]}),
+     r":primes\[5\]: prime pp: sequence is not regular$"),
+    (_fixture_with(["primes", 5], {"name": "pz", "gens": ["x-x"], "seq": []}),
+     r":primes\[5\]: prime pz: zero generator$"),
 ], ids=["d-int", "primes-dict", "complexes-string", "exponent-huge", "coef-degree",
         "gen-degree-high", "gen-degree-low", "number-long", "json-int-long", "json-deep",
         "bool-gen-degree", "bool-char", "bool-var-degree", "d-squared", "nonprime-square",
         "nonprime-product", "nonprime-monomial", "nonprime-principal", "duplicate-complex",
-        "duplicate-prime", "sequence-not-generating", "nonprime-pth-power"])
+        "duplicate-prime", "sequence-not-generating", "nonprime-pth-power",
+        "sequence-not-regular", "zero-generator"])
 def test_cli_rejects_malformed_workspace(capsys, tmp_path, text, message):
     path = tmp_path / "ws.json"
     path.write_text(text)

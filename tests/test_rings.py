@@ -1,4 +1,5 @@
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -77,14 +78,34 @@ def test_parse_collects_repeated_monomials(ring_q):
 
 
 def test_parse_errors_carry_position(ring_q):
-    with pytest.raises(InputError, match="column"):
+    with pytest.raises(InputError, match=r"^undeclared variable 'q' at column 5 in"):
         ring_q.parse("x + q")
-    with pytest.raises(InputError, match="column"):
+    with pytest.raises(InputError, match=r"^expected exponent at column 3 in"):
         ring_q.parse("x ^")
-    with pytest.raises(InputError):
-        ring_q.parse("")
-    with pytest.raises(InputError, match="column"):
+    for blank in ("", " "):
+        with pytest.raises(InputError, match=r"^empty polynomial text$"):
+            ring_q.parse(blank)
+    with pytest.raises(InputError, match=r"^unexpected character '\?' at column 3$"):
         ring_q.parse("2 ? 3")
+    with pytest.raises(InputError, match=r"^expected '\+' or '-' at column 5 in"):
+        ring_q.parse("2   3")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("-", "dangling sign at column 1 in '-'"),
+    ("x*2", "coefficient must precede variables at column 3 in 'x*2'"),
+    ("3/", "expected denominator at column 2 in '3/'"),
+    ("3/0", "zero denominator at column 3 in '3/0'"),
+    ("x+*y", "expected a term at column 3 in 'x+*y'"),
+    ("x*", "dangling '*' at column 2 in 'x*'"),
+    ("x y", "expected '+' or '-' at column 3 in 'x y'"),
+    ("x^", "expected exponent at column 2 in 'x^'"),
+    ("x + #", "unexpected character '#' at column 5"),
+])
+def test_parse_error_messages_name_the_token_column(ring_q, text, message):
+    with pytest.raises(InputError) as err:
+        ring_q.parse(text)
+    assert str(err.value) == message
 
 
 def test_arithmetic_is_exact(ring_q):
@@ -149,10 +170,13 @@ def test_field_value_semantics():
     with pytest.raises(InputError, match="^negative characteristic -3$"):
         Field(-3)
     for action in (lambda: setattr(f, "characteristic", 7), lambda: setattr(f, "other", 1),
-                   lambda: delattr(f, "characteristic")):
+                   lambda: delattr(f, "characteristic"), lambda: setattr(f, "one", 2)):
         with pytest.raises(AttributeError):
             action()
     assert f.characteristic == 5
+    assert (f.zero, f.one) == (0, 1) and type(f.one) is int
+    q = Field(0)
+    assert (q.zero, q.one) == (0, 1) and type(q.one) is Fraction and q.one is q.one
 
 
 def test_graded_ring_value_semantics():

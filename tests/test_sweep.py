@@ -1,6 +1,7 @@
 """The CLI's bytes, pinned: every probe of `tests/sweep.py` has a digest in
-the manifest, the command probes match theirs, and `report` does not depend
-on the hash seed.  `python tests/sweep.py --all` compares the suite probes."""
+the manifest, the command probes and the seed-1 suite probes on
+`fixtures/qxy.json` match theirs, and `report` does not depend on the hash
+seed.  `python tests/sweep.py --all` compares every suite probe."""
 
 import os
 import subprocess
@@ -17,6 +18,13 @@ def test_manifest_lists_every_probe():
 
 def test_command_probes_match_manifest():
     assert changed_probes(command_probes(), load_manifest()) == []
+
+
+def test_qxy_seed_1_suite_probes_match_manifest():
+    probes = [argv for argv in suite_probes()
+              if argv[2:6] == ["--seed", "1", "--input", "fixtures/qxy.json"]]
+    assert len(probes) == 20
+    assert changed_probes(probes, load_manifest()) == []
 
 
 def test_report_bytes_do_not_depend_on_hash_seed():
