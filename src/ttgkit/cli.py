@@ -7,6 +7,7 @@ files are byte-stable.  Exit codes: 0 success, 1 check failure, 2 input error.
 
 import argparse
 import json
+import re
 import sys
 
 from .classify import Catalogue, SuiteReport, classify_catalogue, run_suite
@@ -174,6 +175,17 @@ def emit_report(payload, fmt: str) -> bytes:
     raise InputError(f"unknown format {fmt!r}")
 
 
+def _decimal(text):
+    """A numeric flag value: an optional sign and ASCII digits, nothing else
+    (`int` alone also reads other Unicode digits, `_` and outer whitespace)."""
+    if re.fullmatch(r"[+-]?[0-9]+", text):
+        try:
+            return int(text)
+        except ValueError:  # past the interpreter's integer-string digit limit
+            pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 def _check_budgets(args) -> None:
     """Reject out-of-range numeric options before any workspace is read."""
     if not 1 <= args.n <= MAX_N:
@@ -299,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--input", required=True, help="workspace JSON file")
     common.add_argument("--format", choices=["json", "text"], default="json")
     window = argparse.ArgumentParser(add_help=False)
-    window.add_argument("--max-degree", type=int, default=None, dest="max_degree",
+    window.add_argument("--max-degree", type=_decimal, default=None, dest="max_degree",
                         help="override the Hilbert probe window to [-N, N], "
                              f"0 <= N <= {MAX_PROBE_DEGREE}")
     # `_check_budgets` reads both budgets, also on commands without the flags.
@@ -318,8 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("classify", parents=[common])
     p = sub.add_parser("check", parents=[common])
     p.add_argument("suite")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--n", type=int, default=25,
+    p.add_argument("--seed", type=_decimal, default=None)
+    p.add_argument("--n", type=_decimal, default=25,
                    help=f"instances per randomized suite, 1 to {MAX_N}")
     sub.add_parser("report", parents=[common])
     return parser

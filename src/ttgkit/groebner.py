@@ -7,15 +7,17 @@ inverse lead coefficient, so reduction and S-vectors need no division.  The
 term order is block-wise: an optional tag block ranks strictly below the
 leading block, and inside a block terms compare by total degree (monomial
 weight plus position degree), then weighted grevlex on the monomial, then
-position.  One tagged completion serves two jobs: every element of the
-augmented module keeps, in its tag coordinates, an exact expression of its
-leading-block part in terms of the tagged rows, so `syzygy_module` tags every
-row, and `colon`, the one routine behind every transporter, ideal quotient,
-intersection and annihilator, tags a single row.  The rows `colon` is given
-must be a monic Groebner basis, as every caller already holds one: they are
-kept as given and no S-pair is formed between two of them.  A completion
-reduces only the blocks its caller reads: `colon` and the syzygies read the
-tag block, and a `LiftBasis` reduces the rest on its first `divide`.
+position.  `FreeContext.term_key` is the one key per term that realizes this
+order, and it reads weighted grevlex off `GradedRing.monomial_key`.  One
+tagged completion serves two jobs: every element of the augmented module
+keeps, in its tag coordinates, an exact expression of its leading-block part
+in terms of the tagged rows, so `syzygy_module` tags every row, and `colon`,
+the one routine behind every transporter, ideal quotient, intersection and
+annihilator, tags a single row.  The rows `colon` is given must be a monic
+Groebner basis, as every caller already holds one: they are kept as given and
+no S-pair is formed between two of them.  A completion reduces only the blocks
+its caller reads: `colon` and the syzygies read the tag block, and a
+`LiftBasis` reduces the rest on its first `divide`.
 
 Everything here is a pure function of its inputs; ideal bases are memoized in
 a process-wide table keyed by ring and generator values (concurrent fills
@@ -23,6 +25,7 @@ would recompute the identical reduced basis).
 """
 
 import heapq
+from bisect import insort
 
 from .errors import InputError, InternalError
 from .rings import GradedRing, Polynomial, clear_denominators, require_homogeneous
@@ -31,41 +34,25 @@ from .rings import GradedRing, Polynomial, clear_denominators, require_homogeneo
 class FreeContext:
     """A graded free module with ordered basis and an optional tag block.
 
-    Order keys are memoized per term; `term_key_neg` is the componentwise
-    negation used for min-heaps that must pop the largest term first.
+    `term_key` is the one order key per term, memoized: a bigger key is a
+    bigger term.
     """
 
-    __slots__ = ("ring", "degrees", "block", "_keys", "_neg_keys")
+    __slots__ = ("ring", "degrees", "block", "_keys")
 
     def __init__(self, ring: GradedRing, degrees, block=None):
         self.ring = ring
         self.degrees = tuple(degrees)
         self.block = len(self.degrees) if block is None else block
         self._keys = {}
-        self._neg_keys = {}
 
     def term_key(self, key):
         cached = self._keys.get(key)
         if cached is None:
             pos, expt = key
-            weights = self.ring.weights
-            wd = sum(w * e for w, e in zip(weights, expt))
-            cached = (
-                pos < self.block,
-                wd + self.degrees[pos],
-                wd,
-                tuple(-e for e in reversed(expt)),
-                -pos,
-            )
+            wd, negrev = self.ring.monomial_key(expt)
+            cached = (pos < self.block, wd + self.degrees[pos], wd, negrev, -pos)
             self._keys[key] = cached
-        return cached
-
-    def term_key_neg(self, key):
-        cached = self._neg_keys.get(key)
-        if cached is None:
-            block, total, wd, negrev, negpos = self.term_key(key)
-            cached = (-int(block), -total, -wd, tuple(-v for v in negrev), -negpos)
-            self._neg_keys[key] = cached
         return cached
 
     def degree(self, vec):
@@ -106,18 +93,18 @@ class _Index:
 def normal_form_vec(vec, index, ctx):
     """Full normal form of vec against the indexed basis.
 
-    Terms are consumed largest-first through a lazily pruned heap; reduction
+    Pending terms stay sorted by `term_key` and the largest is taken from
+    the end; a term that cancelled is skipped when it comes up.  Reduction
     only ever introduces strictly smaller terms, so settled output terms are
     never revisited.
     """
     field = ctx.ring.field
-    neg = ctx.term_key_neg
+    term_key = ctx.term_key
     work = dict(vec)
     out = {}
-    heap = [(neg(k), k) for k in work]
-    heapq.heapify(heap)
-    while heap:
-        _, key = heapq.heappop(heap)
+    pending = sorted((term_key(k), k) for k in work)
+    while pending:
+        _, key = pending.pop()
         coeff = work.get(key)
         if coeff is None:
             continue
@@ -141,7 +128,7 @@ def normal_form_vec(vec, index, ctx):
             cur = work.get(k2)
             if cur is None:
                 work[k2] = val
-                heapq.heappush(heap, (neg(k2), k2))
+                insort(pending, (term_key(k2), k2))
             else:
                 s = field.add(cur, val)
                 if s == 0:
@@ -445,9 +432,6 @@ class HomIdeal:
 
     def same_ideal(self, other: "HomIdeal") -> bool:
         return self.contains_ideal(other) and other.contains_ideal(self)
-
-    def is_unit(self) -> bool:
-        return self.contains_poly(self.ring.one())
 
     def is_zero(self) -> bool:
         return not self.generators

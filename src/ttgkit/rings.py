@@ -238,10 +238,10 @@ def require_homogeneous(p: Polynomial, where: str = "polynomial") -> None:
 #   factor  := variable ['^' nat]
 #   coeff   := nat ['/' nat]
 #
-# Whitespace is ignored.  Variables must be declared in the ring.
+# Only ASCII whitespace is ignored.  Variables must be declared in the ring.
 
-_SPACE = re.compile(r"\s*")
-_TOKEN = re.compile(r"(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[+\-*/^])")
+_SPACE = re.compile(r"[ \t\n\r\f\v]*")
+_TOKEN = re.compile(r"(?P<num>[0-9]+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[+\-*/^])")
 
 
 def _tokenize(text: str):

@@ -86,6 +86,32 @@ def relation_span_data(module):
     return vectors, degrees
 
 
+def term_order_compare(ring, degrees, block, a, b) -> int:
+    """-1, 0 or 1 as the term a is smaller than, equal to or bigger than b.
+
+    A term is (position, exponents) in a free module whose basis vector at
+    a position has the degree `degrees[position]`; the positions from
+    `block` on form the tag block.  The order is the one the Groebner engine
+    documents, bigger first: a leading-block term beats a tag-block term;
+    then the larger total degree (weighted degree plus position degree);
+    then the larger weighted degree; then, at the last variable where the
+    exponents differ, the smaller exponent wins; then the lower position.
+    """
+    (pos_a, expt_a), (pos_b, expt_b) = a, b
+    weighted_a, weighted_b = ring.weighted_degree(expt_a), ring.weighted_degree(expt_b)
+    for first, second in ((pos_a < block, pos_b < block),
+                          (weighted_a + degrees[pos_a], weighted_b + degrees[pos_b]),
+                          (weighted_a, weighted_b)):
+        if first != second:
+            return 1 if first > second else -1
+    for i in reversed(range(ring.nvars)):
+        if expt_a[i] != expt_b[i]:
+            return 1 if expt_a[i] < expt_b[i] else -1
+    if pos_a != pos_b:
+        return 1 if pos_a < pos_b else -1
+    return 0
+
+
 def membership_oracle(f, generators) -> bool:
     """Is f a combination sum g_i h_i with homogeneous h_i?  Degree-bounded solve."""
     ring = f.ring

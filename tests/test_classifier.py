@@ -142,6 +142,19 @@ def test_classify_groups_duplicates_and_shifts(catalogue_q):
     assert by_primes[("px",)] == ["cx", "cx2", "cxs"]
 
 
+def test_catalogue_rejects_duplicate_prime_names(catalogue_q):
+    p = catalogue_q.prime("px")
+    with pytest.raises(InputError, match=r"^duplicate prime names in catalogue$"):
+        Catalogue(catalogue_q.ring, [p, p])
+
+
+def test_zero_action_passes_when_no_prime_has_a_sequence(catalogue_q):
+    """(0) has the empty sequence, so there is no element to act by."""
+    cat = Catalogue(catalogue_q.ring, [catalogue_q.prime("p0")], catalogue_q.objects)
+    report = run_suite(cat, "zero-action", seed=1, n=3)
+    assert report.passed == 3 and report.all_passed()
+
+
 def test_run_suite_unknown_name(catalogue_q):
     with pytest.raises(InputError, match="unknown suite"):
         run_suite(catalogue_q, "nonsense", 0, 1)

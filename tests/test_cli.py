@@ -197,12 +197,19 @@ def _fixture_with(keys, value, fixture="qxy"):
      r":primes\[5\]: prime pp: sequence is not regular$"),
     (_fixture_with(["primes", 5], {"name": "pz", "gens": ["x-x"], "seq": []}),
      r":primes\[5\]: prime pz: zero generator$"),
+    (_fixture_with(["complexes", 2, "d", 0, "coef"], "x^\u0661+\u3000\u0662*y"),
+     r":complexes\[2\]\.d\[0\]\.coef: unexpected character '\u0661' at column 3$"),
+    (_fixture_with(["complexes", 2, "d", 0, "from"], "zz"),
+     r":complexes\[2\]\.d\[0\]\.from: unknown generator 'zz'$"),
+    (_fixture_with(["complexes", 1, "d", 0, "coef"], "1/5*x", fixture="f5xyz"),
+     r":complexes\[1\]\.d\[0\]\.coef: denominator 5 not invertible mod 5$"),
 ], ids=["d-int", "primes-dict", "complexes-string", "exponent-huge", "coef-degree",
         "gen-degree-high", "gen-degree-low", "number-long", "json-int-long", "json-deep",
         "bool-gen-degree", "bool-char", "bool-var-degree", "d-squared", "nonprime-square",
         "nonprime-product", "nonprime-monomial", "nonprime-principal", "duplicate-complex",
         "duplicate-prime", "sequence-not-generating", "nonprime-pth-power",
-        "sequence-not-regular", "zero-generator"])
+        "sequence-not-regular", "zero-generator", "coef-unicode-digit", "d-unknown-generator",
+        "coef-f5-denominator"])
 def test_cli_rejects_malformed_workspace(capsys, tmp_path, text, message):
     path = tmp_path / "ws.json"
     path.write_text(text)
@@ -402,7 +409,10 @@ def test_f5_fixture_parses_and_validates(capsys, f5xyz_path):
      r"^error: object unit//\(x\^5000\): probe window \[-4, 10003\] exceeds .*--max-degree"),
     (["check", "nakayama", "--seed", "1", "--n", "100000000"], r"^error: --n: 100000000 "),
     (["check", "nakayama", "--seed", "1", "--n", "-5"], r"^error: --n: -5 "),
-], ids=["max-degree-huge", "max-degree-negative", "koszul-window", "n-huge", "n-negative"])
+    (["koszul", "unit", "x+#"],
+     r"^error: koszul element: unexpected character '#' at column 3$"),
+], ids=["max-degree-huge", "max-degree-negative", "koszul-window", "n-huge", "n-negative",
+        "koszul-parse"])
 def test_cli_budgets_reject_before_algebra(capsys, qxy_path, argv, message):
     code, out, err = run_cli(capsys, *argv, "--input", qxy_path)
     assert code == 2
@@ -425,6 +435,20 @@ def test_cli_rejects_flags_the_command_does_not_read(capsys, qxy_path, argv):
     assert "unrecognized arguments" in captured.err
 
 
+@pytest.mark.parametrize("argv, value", [
+    (["check", "nakayama", "--seed", "\u0667", "--n", "\u0662"], "\u0667"),
+    (["check", "nakayama", "--seed", "1", "--n", "1_0"], "1_0"),
+    (["cohomology", "cx", "--max-degree", " 4 "], " 4 "),
+], ids=["arabic-indic-digits", "underscore", "spaces"])
+def test_cli_numeric_flags_read_ascii_decimals_only(capsys, qxy_path, argv, value):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv + ["--input", qxy_path])
+    captured = capsys.readouterr()
+    assert exit_.value.code == 2
+    assert captured.out == ""
+    assert f"invalid int value: {value!r}" in captured.err
+
+
 def test_cli_budget_limits_are_accepted(capsys, qxy_path, tmp_path):
     path = tmp_path / "edge.json"
     path.write_text(_fixture_with(["complexes", 2], {
@@ -443,6 +467,10 @@ def test_cli_budget_limits_are_accepted(capsys, qxy_path, tmp_path):
                            "--input", qxy_path)
     assert code == 0
     assert json.loads(out)["n"] == MAX_N
+    code, out, _ = run_cli(capsys, "check", "nakayama", "--seed", "-3", "--n", "1",
+                           "--input", qxy_path)
+    assert code == 0
+    assert json.loads(out)["seed"] == -3
 
 
 @pytest.mark.parametrize("golden", COMMAND_GOLDENS)

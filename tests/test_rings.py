@@ -101,6 +101,8 @@ def test_parse_errors_carry_position(ring_q):
     ("x y", "expected '+' or '-' at column 3 in 'x y'"),
     ("x^", "expected exponent at column 2 in 'x^'"),
     ("x + #", "unexpected character '#' at column 5"),
+    ("x^\u0661+y", "unexpected character '\u0661' at column 3"),
+    ("x+\u3000y", "unexpected character '\\u3000' at column 3"),
 ])
 def test_parse_error_messages_name_the_token_column(ring_q, text, message):
     with pytest.raises(InputError) as err:

@@ -157,3 +157,5 @@ def test_prime_serialization(world):
         "seq": ["x", "y"],
         "status": "verified-monomial",
     }
+    # the displayed generator is scaled to a positive lead coefficient
+    assert PrimePoint.create(ring, "pn", [-x], [-x]).ideal_display() == "(x)"
