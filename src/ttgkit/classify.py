@@ -304,8 +304,11 @@ def _build_from_residue(catalogue, p, rng):
     Cones are taken along homogeneous elements of p itself (random monomial
     multiples of the ideal generators): inverting anything outside p would
     shrink the support below V(p), which only the local category quotients
-    away.  Shifts and finite sums are support-neutral.
+    away.  Shifts and finite sums are support-neutral.  The monomial has
+    degree 0 or 2, drawn among those the ring has monomials in.
     """
+    ring = catalogue.ring
+    degrees = [d for d in (0, 2) if ring.monomials_of_weight(d)]
     base = residue_field_object(p)
     current = base
     for _ in range(rng.randint(0, 5)):
@@ -319,17 +322,19 @@ def _build_from_residue(catalogue, p, rng):
             if 2 * len(current) <= 24:
                 if p.ideal.generators:
                     g = rng.choice(p.ideal.generators)
-                    degree = rng.choice([0, 2])
-                    monomials = catalogue.ring.monomials_of_weight(degree)
-                    m = catalogue.ring.from_terms({rng.choice(list(monomials)): 1})
+                    monomials = ring.monomials_of_weight(rng.choice(degrees))
+                    m = ring.from_terms({rng.choice(list(monomials)): 1})
                     current = cone(central_action(g * m, current))
                 else:
-                    current = cone(central_action(catalogue.ring.zero(), current))
+                    current = cone(central_action(ring.zero(), current))
     return current
 
 
 def _suite_minimality(catalogue, seed, n):
     for index in range(n):
+        if not catalogue.primes:
+            yield None
+            continue
         rng = _instance_rng(seed, index)
         p = catalogue.primes[index % len(catalogue.primes)]
         built = _build_from_residue(catalogue, p, rng)

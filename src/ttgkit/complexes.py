@@ -373,7 +373,7 @@ def random_homogeneous(ring: GradedRing, rng: random.Random, max_degree=6,
     """A nonzero homogeneous polynomial of weighted degree <= max_degree."""
     degrees = [d for d in range(2, max_degree + 1, 2) if ring.monomials_of_weight(d)]
     if not degrees:
-        degrees = [min(ring.weights)]
+        degrees = [min(ring.weights, default=0)]
     degree = rng.choice(degrees)
     monomials = list(ring.monomials_of_weight(degree))
     if monomial_only:

@@ -1,23 +1,27 @@
 """Buchberger engine for homogeneous ideals and submodules of graded free modules.
 
 Vectors are sparse maps (position, exponent-tuple) -> coefficient; this module
-alone converts them to and from rows of (position, Polynomial) pairs.  Every
-basis vector is monic: `buchberger_module` scales each new element by its
-inverse lead coefficient, so reduction and S-vectors need no division.  The
-term order is block-wise: an optional tag block ranks strictly below the
-leading block, and inside a block terms compare by total degree (monomial
-weight plus position degree), then weighted grevlex on the monomial, then
-position.  `FreeContext.term_key` is the one key per term that realizes this
-order, and it reads weighted grevlex off `GradedRing.monomial_key`.  One
-tagged completion serves two jobs: every element of the augmented module
-keeps, in its tag coordinates, an exact expression of its leading-block part
-in terms of the tagged rows, so `syzygy_module` tags every row, and `colon`,
-the one routine behind every transporter, ideal quotient, intersection and
-annihilator, tags a single row.  The rows `colon` is given must be a monic
-Groebner basis, as every caller already holds one: they are kept as given and
-no S-pair is formed between two of them.  A completion reduces only the blocks
-its caller reads: `colon` and the syzygies read the tag block, and a
-`LiftBasis` reduces the rest on its first `divide`.
+alone converts them to and from rows of (position, Polynomial) pairs and reads
+their terms.  `SubmoduleBasis` is the one basis type: its elements, the lead
+of each, computed once when the element is added, and a per-position divisor
+index.  A completion grows one and every normal form reads one.  Every basis
+vector is monic: a completion scales each new element by its inverse lead
+coefficient, so reduction and S-vectors need no division.  The term order is
+block-wise: an optional tag block ranks strictly below the leading block, and
+inside a block terms compare by total degree (monomial weight plus position
+degree), then weighted grevlex on the monomial, then position.
+`FreeContext.term_key` is the one key per term that realizes this order, and
+it reads weighted grevlex off `GradedRing.monomial_key`.  One tagged
+completion serves two jobs: every element of the augmented module keeps, in
+its tag coordinates, an exact expression of its leading-block part in terms of
+the tagged rows, so `syzygy_module` tags every row, and `colon`, the one
+routine behind every transporter, ideal quotient, intersection and
+annihilator, tags a single row.  `colon` takes (basis, vector) pairs, stacks
+one twisted copy of each basis, and returns the intersection of the colons;
+every caller already holds each basis as a `SubmoduleBasis`, so its elements
+are kept as given and no S-pair is formed between two of them.  A completion
+reduces only the blocks its caller reads: `colon` and the syzygies read the
+tag block, and a `LiftBasis` reduces the rest on its first `divide`.
 
 Everything here is a pure function of its inputs; ideal bases are memoized in
 a process-wide table keyed by ring and generator values (concurrent fills
@@ -65,41 +69,64 @@ def vec_lead(vec, ctx):
     return max(vec, key=ctx.term_key)
 
 
-class _Index:
-    """Per-position divisor lookup over monic basis vectors."""
+class SubmoduleBasis:
+    """A monic Groebner basis of a submodule: elements, leads, divisor index.
 
-    def __init__(self, ctx, vectors=()):
+    `add` computes each element's lead once and requires it to be monic, as
+    reduction divides by no lead coefficient; a completion scales every
+    element it makes.  The index lists each lead exponent, with its element,
+    under the lead's position.
+    """
+
+    __slots__ = ("ctx", "elements", "leads", "_by_pos")
+
+    def __init__(self, ctx, elements=()):
         self.ctx = ctx
-        self.by_pos = {}
-        for vec in vectors:
+        self.elements = []
+        self.leads = []
+        self._by_pos = {}
+        for vec in elements:
             self.add(vec)
+
+    @classmethod
+    def generate(cls, rows, ctx):
+        return cls(ctx, buchberger_module(rows, ctx))
 
     def add(self, vec):
         lead = vec_lead(vec, self.ctx)
         if vec[lead] != 1:
             raise InternalError(f"basis vector with lead coefficient {vec[lead]}, not 1")
+        self.elements.append(vec)
+        self.leads.append(lead)
         pos, expt = lead
-        self.by_pos.setdefault(pos, []).append((expt, vec))
-        return lead
+        self._by_pos.setdefault(pos, []).append((expt, vec))
 
     def find(self, key):
+        """(lead exponent, element) of the first element whose lead divides key."""
         pos, expt = key
-        for gexpt, gvec in self.by_pos.get(pos, ()):
+        for gexpt, gvec in self._by_pos.get(pos, ()):
             if all(a <= b for a, b in zip(gexpt, expt)):
                 return gexpt, gvec
         return None
 
+    def normal_form(self, vec):
+        return normal_form_vec(vec, self)
 
-def normal_form_vec(vec, index, ctx):
-    """Full normal form of vec against the indexed basis.
+    def contains(self, vec) -> bool:
+        return not self.normal_form(vec)
+
+
+def normal_form_vec(vec, basis):
+    """Full normal form of vec against a `SubmoduleBasis`.
 
     Pending terms stay sorted by `term_key` and the largest is taken from
     the end; a term that cancelled is skipped when it comes up.  Reduction
     only ever introduces strictly smaller terms, so settled output terms are
     never revisited.
     """
-    field = ctx.ring.field
-    term_key = ctx.term_key
+    field = basis.ctx.ring.field
+    term_key = basis.ctx.term_key
+    find = basis.find
     work = dict(vec)
     out = {}
     pending = sorted((term_key(k), k) for k in work)
@@ -108,7 +135,7 @@ def normal_form_vec(vec, index, ctx):
         coeff = work.get(key)
         if coeff is None:
             continue
-        hit = index.find(key)
+        hit = find(key)
         if hit is None:
             out[key] = work.pop(key)
             continue
@@ -156,12 +183,12 @@ def _spair(v1, e1, v2, e2, field):
 
 def buchberger_module(rows, ctx):
     """Reduced Groebner basis of the submodule generated by the given vectors."""
-    basis, leads = _complete((), rows, ctx)
-    return _reduce_basis(basis, leads, ctx)
+    basis = _complete((), rows, ctx)
+    return _reduce_basis(basis.elements, basis.leads, ctx)
 
 
 def _complete(known, rows, ctx):
-    """A Groebner basis of the span of known and rows, with its leads; not reduced.
+    """A `SubmoduleBasis` of the span of known and rows; not reduced.
 
     known must be a monic Groebner basis.  Its elements are kept as given,
     ahead of the rows, no normal form is taken of them, and S-pairs are
@@ -169,20 +196,17 @@ def _complete(known, rows, ctx):
     over known.  The rows are normal-formed in lead order and made monic.
     """
     field = ctx.ring.field
-    basis = list(known)
-    index = _Index(ctx)
-    leads = [index.add(vec) for vec in basis]
+    basis = SubmoduleBasis(ctx, known)
+    elements, leads = basis.elements, basis.leads
+    start = len(elements)
 
     def append(vec):
-        lead = vec_lead(vec, ctx)
-        inv = field.inv(vec[lead])
-        vec = {k: field.mul(inv, c) for k, c in vec.items()}
-        basis.append(vec)
-        leads.append(index.add(vec))
+        inv = field.inv(vec[vec_lead(vec, ctx)])
+        basis.add({k: field.mul(inv, c) for k, c in vec.items()})
 
     seed = sorted((r for r in rows if r), key=lambda v: ctx.term_key(vec_lead(v, ctx)))
     for row in seed:
-        nf = normal_form_vec(row, index, ctx)
+        nf = normal_form_vec(row, basis)
         if nf:
             append(nf)
 
@@ -200,19 +224,19 @@ def _complete(known, rows, ctx):
             heapq.heappush(heap, (ctx.term_key((pnew, lcm)), j, new_idx))
 
     heap = []
-    for i in range(len(known), len(basis)):
+    for i in range(start, len(elements)):
         push_pairs(heap, i)
     while heap:
         _, i, j = heapq.heappop(heap)
-        s = _spair(basis[i], leads[i][1], basis[j], leads[j][1], field)
-        nf = normal_form_vec(s, index, ctx)
+        s = _spair(elements[i], leads[i][1], elements[j], leads[j][1], field)
+        nf = normal_form_vec(s, basis)
         if nf:
             append(nf)
-            push_pairs(heap, len(basis) - 1)
-    return basis, leads
+            push_pairs(heap, len(elements) - 1)
+    return basis
 
 
-def _reduce_basis(basis, leads, ctx, others=()):
+def _reduce_basis(elements, leads, ctx, others=()):
     """Minimalize per position and tail-reduce into the unique reduced basis.
 
     Only leads at the same position divide each other, so each position
@@ -226,46 +250,22 @@ def _reduce_basis(basis, leads, ctx, others=()):
     """
     kept = {}
     minimal = []
-    for lead, vec in sorted(zip(leads, basis), key=lambda t: ctx.term_key(t[0])):
+    for lead, vec in sorted(zip(leads, elements), key=lambda t: ctx.term_key(t[0])):
         pos, expt = lead
         divisors = kept.setdefault(pos, [])
         if not any(all(a <= b for a, b in zip(d, expt)) for d in divisors):
             divisors.append(expt)
             minimal.append((lead, vec))
-    index = _Index(ctx, [vec for _, vec in minimal] + list(others))
+    index = SubmoduleBasis(ctx, [vec for _, vec in minimal] + list(others))
     one = ctx.ring.field.one
     out = []
     for lead, vec in minimal:
         tail = dict(vec)
         del tail[lead]
-        reduced = normal_form_vec(tail, index, ctx)
+        reduced = normal_form_vec(tail, index)
         reduced[lead] = one
         out.append(reduced)
     return out
-
-
-class SubmoduleBasis:
-    """Reduced Groebner basis of a submodule, with membership helpers.
-
-    The elements must be monic, as `buchberger_module` returns them.
-    """
-
-    __slots__ = ("ctx", "elements", "_index")
-
-    def __init__(self, ctx, elements):
-        self.ctx = ctx
-        self.elements = elements
-        self._index = _Index(ctx, elements)
-
-    @classmethod
-    def generate(cls, rows, ctx):
-        return cls(ctx, buchberger_module(rows, ctx))
-
-    def normal_form(self, vec):
-        return normal_form_vec(vec, self._index, self.ctx)
-
-    def contains(self, vec) -> bool:
-        return not self.normal_form(vec)
 
 
 def _tagged_completion(ctx, known, tagged, tag_degrees):
@@ -288,9 +288,9 @@ def _tagged_completion(ctx, known, tagged, tag_degrees):
         row = dict(vec)
         row[(ncols + i, zero_expt)] = ctx.ring.field.one
         aug_rows.append(row)
-    basis, leads = _complete(known, aug_rows, tag_ctx)
+    basis = _complete(known, aug_rows, tag_ctx)
     tag_basis, tag_leads, rest = [], [], []
-    for vec, lead in zip(basis, leads):
+    for vec, lead in zip(basis.elements, basis.leads):
         if lead[0] >= ncols:
             tag_basis.append(vec)
             tag_leads.append(lead)
@@ -338,10 +338,8 @@ class LiftBasis(SubmoduleBasis):
         tag terms it accumulates are minus the lift.
         """
         if self._tags is not None:
-            ctx = self.ctx
-            leads = [vec_lead(v, ctx) for v in self.elements]
-            self.elements = _reduce_basis(self.elements, leads, ctx, self._tags)
-            self._index = _Index(ctx, self.elements)
+            reduced = _reduce_basis(self.elements, self.leads, self.ctx, self._tags)
+            super().__init__(self.ctx, reduced)
             self._tags = None
         field = self.ctx.ring.field
         ncols = self.ctx.block
@@ -447,22 +445,31 @@ class HomIdeal:
         return f"({inner})" if inner else "(0)"
 
 
-def colon(rows, vec, ctx) -> HomIdeal:
-    """The colon (N : vec) = {f | f * vec in N}, N the span of rows in ctx.
+def colon(pairs) -> HomIdeal:
+    """The intersection of the colons (N_i : v_i) = {f | f * v_i in N_i}.
 
-    rows must be a monic Groebner basis of N in ctx, such as the elements of
-    a `SubmoduleBasis`; they are kept as given and no S-pair is formed
-    between two of them.  The row vec + t is completed together with rows,
-    in a free module with one tag position t of degree deg vec ranked below
-    every position of ctx.  An element of the span is n + f*(vec + t) with n
-    in N; it lies in the tag block exactly when f*vec = -n, so the tag-block
+    Each pair is (basis, v): a `SubmoduleBasis` of N_i and a nonzero
+    homogeneous vector v_i in its context.  Copy i of each free module is
+    twisted by -deg v_i and the copies are stacked, so sum_i v_i^(i) has
+    degree 0; the stacked bases, one per copy, form a Groebner basis of the
+    sum of the N_i^(i).  They are kept as given, no S-pair is formed between
+    two of them, and the row sum_i v_i^(i) + t is completed together with
+    them, t a tag position of degree 0 ranked below every copy.  An element
+    of the span is n + f*(sum_i v_i^(i) + t) with n in the stack; it lies
+    in the tag block exactly when every f*v_i is in N_i, so the tag-block
     elements of the completed basis are f*t for f generating the colon
     (elimination; Eisenbud, Commutative Algebra, section 15.10).  Only that
-    block is reduced.  vec must be nonzero and homogeneous.
+    block is reduced.
     """
-    tags, _, _ = _tagged_completion(ctx, rows, [vec], [ctx.degree(vec)])
-    ncols = len(ctx.degrees)
-    return HomIdeal(ctx.ring, [vec_component(v, ncols, ctx.ring) for v in tags])
+    ring = pairs[0][0].ctx.ring
+    degrees, known, stacked = [], [], {}
+    for basis, vec in pairs:
+        offset, twist = len(degrees), basis.ctx.degree(vec)
+        degrees += [d - twist for d in basis.ctx.degrees]
+        known += [{(offset + pos, e): c for (pos, e), c in v.items()} for v in basis.elements]
+        stacked.update(((offset + pos, e), c) for (pos, e), c in vec.items())
+    tags, _, _ = _tagged_completion(FreeContext(ring, degrees), known, [stacked], [0])
+    return HomIdeal(ring, [vec_component(v, len(degrees), ring) for v in tags])
 
 
 def ideal_quotient(ideal: HomIdeal, f: Polynomial) -> HomIdeal:
@@ -470,23 +477,15 @@ def ideal_quotient(ideal: HomIdeal, f: Polynomial) -> HomIdeal:
     if f.is_zero():
         raise InputError("quotient by the zero polynomial")
     require_homogeneous(f, "quotient divisor")
-    ring = ideal.ring
-    if f.ring != ring:
+    if f.ring != ideal.ring:
         raise InputError("polynomial ring mismatch")
-    basis = ideal.groebner_basis()
-    return colon(basis.elements, poly_to_vec(f), basis.ctx)
+    return colon([(ideal.groebner_basis(), poly_to_vec(f))])
 
 
 def ideal_intersection(first: HomIdeal, second: HomIdeal) -> HomIdeal:
-    """The intersection as the colon (first*e_0 + second*e_1 : e_0 + e_1) in R^2.
-
-    The two reduced bases, one per position, together form a Groebner basis.
-    """
+    """The intersection as one stacked colon: (first : 1) meet (second : 1)."""
     ring = first.ring
     if second.ring != ring:
         raise InputError("ideal ring mismatch")
-    rows = [{(pos, expt): c for (_, expt), c in v.items()}
-            for pos, ideal in enumerate((first, second))
-            for v in ideal.groebner_basis().elements]
-    diagonal = row_to_vec([(0, ring.one()), (1, ring.one())])
-    return colon(rows, diagonal, FreeContext(ring, (0, 0)))
+    one = poly_to_vec(ring.one())
+    return colon([(first.groebner_basis(), one), (second.groebner_basis(), one)])

@@ -5,13 +5,14 @@ cancels each relation that has a unit (degree-0, hence constant) entry
 against that generator, as Macaulay2's `prune` does.  Weights are positive,
 so R_0 is the field, and by the graded Nakayama lemma the generators left
 are a minimal set; the module is zero exactly when there are none.  The
-annihilator of a module with k generators is one colon (`groebner.colon`):
-(N^k : sum_i e_i^(i)) in k twisted copies of the free module, read off a
-single completion with one tag position (elimination; Eisenbud, Commutative
-Algebra, section 15.10); the reduced relation basis is already a Groebner
-basis of each copy, so the colon keeps it as given.  The Hilbert function is
-read off one numerator per module, computed from the lead terms of that
-basis (Bayer and Stillman, J. Symb. Comp. 14, 1992).
+annihilator of a module with k generators is one colon (`groebner.colon`)
+of the k pairs (N, e_i), the intersection of the (N : e_i), which `colon`
+reads off a single completion over k stacked copies of the free module
+(elimination; Eisenbud, Commutative Algebra, section 15.10); the reduced
+relation basis N is already a Groebner basis of each copy, so the colon
+keeps it as given.  The Hilbert function is read off one numerator per
+module, computed from the stored leads of that basis (Bayer and Stillman,
+J. Symb. Comp. 14, 1992).
 
 Localization at a prime is never materialized: every p-local statement is
 reduced to a rank over the fraction field Frac(R/p) of the quotient domain.
@@ -25,8 +26,7 @@ generated.
 from functools import lru_cache
 
 from .errors import HomogeneityError, InputError, frozen_attribute
-from .groebner import (FreeContext, HomIdeal, SubmoduleBasis, colon, poly_to_vec, row_to_vec,
-                       vec_lead)
+from .groebner import FreeContext, HomIdeal, SubmoduleBasis, colon, poly_to_vec, row_to_vec
 from .rings import GradedRing, Polynomial
 
 
@@ -142,31 +142,15 @@ class GradedModule:
         """(relations : e_i) for each generator e_i."""
         basis = self.rel_basis()
         one = self.ring.one()
-        return tuple(
-            colon(basis.elements, poly_to_vec(one, i), basis.ctx) for i in range(len(self.gens))
-        )
+        return tuple(colon([(basis, poly_to_vec(one, i))]) for i in range(len(self.gens)))
 
     def annihilator(self) -> HomIdeal:
-        """Ann M as one colon (N^k : sum_i e_i^(i)) over the k generators.
-
-        Copy i of F^k carries the reduced relation basis, twisted by
-        -deg e_i, so every diagonal entry e_i^(i) has degree 0; f kills the
-        diagonal modulo N^k exactly when f kills every generator modulo N.
-        """
+        """Ann M as one colon: f kills M exactly when every f * e_i lies in the
+        relation span N, so Ann M is the intersection of the (N : e_i)."""
         if self._annihilator is None:
-            k = len(self.gens)
-            if not k:
-                self._annihilator = HomIdeal(self.ring, [self.ring.one()])
-            else:
-                degrees = tuple(d - shift for shift in self.gens for d in self.gens)
-                relations = self.rel_basis().elements
-                rows = [
-                    {(i * k + j, e): c for (j, e), c in v.items()}
-                    for i in range(k)
-                    for v in relations
-                ]
-                diagonal = row_to_vec((i * k + i, self.ring.one()) for i in range(k))
-                self._annihilator = colon(rows, diagonal, FreeContext(self.ring, degrees))
+            one = self.ring.one()
+            pairs = [(self.rel_basis(), poly_to_vec(one, i)) for i in range(len(self.gens))]
+            self._annihilator = colon(pairs) if pairs else HomIdeal(self.ring, [one])
         return self._annihilator
 
     def hilbert_dimension(self, degree: int) -> int:
@@ -179,10 +163,8 @@ class GradedModule:
         count per numerator term.
         """
         if self._numerator is None:
-            basis = self.rel_basis()
             leads = {}
-            for vec in basis.elements:
-                pos, expt = vec_lead(vec, basis.ctx)
+            for pos, expt in self.rel_basis().leads:
                 leads.setdefault(pos, []).append(expt)
             numerator = {}
             for pos, shift in enumerate(self.gens):

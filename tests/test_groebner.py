@@ -1,6 +1,7 @@
 import functools
 import random
 import zlib
+from unittest import mock
 
 import pytest
 
@@ -20,11 +21,13 @@ from ttgkit import (
 )
 from ttgkit.complexes import random_homogeneous
 from ttgkit.fields import Field
+from ttgkit import groebner
 from ttgkit.errors import InternalError
 from ttgkit.groebner import (
     FreeContext,
     LiftBasis,
     SubmoduleBasis,
+    colon,
     poly_to_vec,
     syzygy_module,
 )
@@ -163,6 +166,30 @@ def test_ideal_intersection(ring_q):
     assert ideal_intersection(ideal, zero).is_zero()
     assert ideal_intersection(unit, ideal).same_ideal(ideal)
     assert ideal_intersection(ideal, unit).same_ideal(ideal)
+
+
+def test_stacked_colon_twists_each_copy_to_degree_zero(ring_q):
+    """colon([(N_1, v_1), (N_2, v_2)]) is (N_1 : v_1) meet (N_2 : v_2).  Copy i
+    is twisted by -deg v_i, so with v_1, v_2 of degrees 2 and 4 the stacked
+    row is still homogeneous, and so is every element the completion makes."""
+    x, y = ring_q.variable("x"), ring_q.variable("y")
+    ctx = FreeContext(ring_q, (0,))
+    first = SubmoduleBasis.generate([poly_to_vec(x * x * y)], ctx)
+    second = SubmoduleBasis.generate([poly_to_vec(y * y * y)], ctx)
+    completed = []
+    complete = groebner._complete
+
+    def recording(known, rows, ctx):
+        basis = complete(known, rows, ctx)
+        completed.extend((ctx, vec) for vec in basis.elements)
+        return basis
+
+    with mock.patch.object(groebner, "_complete", recording):
+        result = colon([(first, poly_to_vec(x)), (second, poly_to_vec(y * y))])
+    assert result.same_ideal(HomIdeal(ring_q, [x * y]))
+    assert completed
+    for ctx, vec in completed:
+        assert len({ctx.degree({key: c}) for key, c in vec.items()}) == 1, vec
 
 
 @pytest.mark.parametrize("ring_name", ["ring_q", "ring_f5"])

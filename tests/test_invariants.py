@@ -314,7 +314,7 @@ def test_colon_on_a_basis_matches_full_completion(char, variables):
         basis = SubmoduleBasis.generate(vectors, FreeContext(ring, raw.gens))
         for i in range(len(raw.gens)):
             e_i = poly_to_vec(one, i)
-            assert (colon(basis.elements, e_i, basis.ctx).generators
+            assert (colon([(basis, e_i)]).generators
                     == tuple(_colon_by_full_completion(vectors, e_i, basis.ctx))), (seed, i)
             cases += 1
         k = len(raw.gens)
@@ -327,7 +327,7 @@ def test_colon_on_a_basis_matches_full_completion(char, variables):
                 return [{(i * k + j, e): c for (j, e), c in v.items()}
                         for i in range(k) for v in vecs]
 
-            assert (colon(copies(basis.elements), diagonal, ctx).generators
+            assert (colon([(basis, poly_to_vec(one, i)) for i in range(k)]).generators
                     == tuple(_colon_by_full_completion(copies(vectors), diagonal, ctx))), seed
             cases += 1
     for _ in range(8):
