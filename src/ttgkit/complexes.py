@@ -370,7 +370,13 @@ def even_vanishing_check(f: Polynomial) -> bool:
 
 def random_homogeneous(ring: GradedRing, rng: random.Random, max_degree=6,
                        monomial_only=False) -> Polynomial:
-    """A nonzero homogeneous polynomial of weighted degree <= max_degree."""
+    """A nonzero homogeneous polynomial of a random even weighted degree
+    <= max_degree that has monomials.
+
+    When no even degree <= max_degree has a monomial, the polynomial has the
+    smallest variable weight as its degree instead, which may exceed
+    max_degree (a constant in a ring without variables).
+    """
     degrees = [d for d in range(2, max_degree + 1, 2) if ring.monomials_of_weight(d)]
     if not degrees:
         degrees = [min(ring.weights, default=0)]

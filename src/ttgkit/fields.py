@@ -2,7 +2,10 @@
 
 No floating point appears anywhere in the package; rationals are Fraction
 values in lowest terms, prime-field elements are ints stored as symmetric
-representatives in [-(p-1)/2, (p-1)/2].
+representatives in [-(p-1)/2, (p-1)/2].  These are the values of polynomials
+and of every vector that enters or leaves the Groebner engine.  Inside it
+(`groebner.py`) no `Field` method runs: coefficients there are plain ints,
+integral over Q and residues in [0, p) over F_p.
 """
 
 from fractions import Fraction

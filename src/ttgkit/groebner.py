@@ -2,14 +2,22 @@
 
 Vectors are sparse maps (position, exponent-tuple) -> coefficient; this module
 alone converts them to and from rows of (position, Polynomial) pairs and reads
-their terms.  `SubmoduleBasis` is the one basis type: its elements, the lead
-of each, computed once when the element is added, and a per-position divisor
-index.  A completion grows one and every normal form reads one.  Every basis
-vector is monic: a completion scales each new element by its inverse lead
-coefficient, so reduction and S-vectors need no division.  The term order is
-block-wise: an optional tag block ranks strictly below the leading block, and
-inside a block terms compare by total degree (monomial weight plus position
-degree), then weighted grevlex on the monomial, then position.
+their terms.  Inside the engine every coefficient is a plain int: over Q a
+vector is integral, over F_p its coefficients are residues in [0, p), reduced
+with `% p` where they are formed.  `Fraction` and `Field` values appear only
+where a vector enters or leaves: `_integral` clears the denominators of an
+input vector and `_field_vec` divides an output vector by its scale.
+`SubmoduleBasis` is the one basis type: its elements, the lead of each, handed
+in by the caller that found it, and a per-position divisor index.  A
+completion grows one and every normal form reads one.  Every basis element is
+normalized: primitive with a positive lead coefficient over Q, monic over F_p.
+Reduction is fraction-free: `normal_form_vec` scales the vector it reduces
+instead of dividing by a lead coefficient, and returns that scale, so every
+element of a completion is a nonzero scalar multiple of the element a
+reduction by monic field vectors would give.  The term order is block-wise:
+an optional tag block ranks strictly below the leading block, and inside a
+block terms compare by total degree (monomial weight plus position degree),
+then weighted grevlex on the monomial, then position.
 `FreeContext.term_key` is the one key per term that realizes this order, and
 it reads weighted grevlex off `GradedRing.monomial_key`.  One tagged
 completion serves two jobs: every element of the augmented module keeps, in
@@ -30,6 +38,9 @@ would recompute the identical reduced basis).
 
 import heapq
 from bisect import insort
+from fractions import Fraction
+from math import gcd
+from operator import add, le, sub
 
 from .errors import InputError, InternalError
 from .rings import GradedRing, Polynomial, clear_denominators, require_homogeneous
@@ -69,66 +80,126 @@ def vec_lead(vec, ctx):
     return max(vec, key=ctx.term_key)
 
 
-class SubmoduleBasis:
-    """A monic Groebner basis of a submodule: elements, leads, divisor index.
+def _integral(vec, p):
+    """(scale * vec with plain int coefficients, scale) for a field vector.
 
-    `add` computes each element's lead once and requires it to be monic, as
-    reduction divides by no lead coefficient; a completion scales every
-    element it makes.  The index lists each lead exponent, with its element,
-    under the lead's position.
+    Over Q the scale is the lcm of the denominators; over F_p it is 1 and the
+    coefficients become residues in [0, p).
+    """
+    if p:
+        return {k: c % p for k, c in vec.items()}, 1
+    den = 1
+    for c in vec.values():
+        d = c.denominator
+        if d != 1:
+            den = den * d // gcd(den, d)
+    return {k: c.numerator * (den // c.denominator) for k, c in vec.items()}, den
+
+
+def _field_vec(vec, scale, field):
+    """vec / scale as field elements: Fractions over Q, symmetric residues over F_p."""
+    p = field.characteristic
+    if p:
+        h = (p - 1) // 2
+        inv = pow(scale, -1, p)
+        return {k: (c * inv + h) % p - h for k, c in vec.items()}
+    return {k: Fraction(c, scale) for k, c in vec.items()}
+
+
+def _normalized(vec, lc, p):
+    """vec, with lead coefficient lc, made primitive with a positive lead over Q
+    and monic over F_p."""
+    if p:
+        if lc == 1:
+            return vec
+        inv = pow(lc, -1, p)
+        return {k: c * inv % p for k, c in vec.items()}
+    g = gcd(*vec.values())
+    if lc < 0:
+        g = -g
+    if g == 1:
+        return vec
+    return {k: c // g for k, c in vec.items()}
+
+
+class SubmoduleBasis:
+    """A Groebner basis of a submodule: elements, leads, divisor index.
+
+    Elements are plain int vectors, each primitive with a positive lead
+    coefficient over Q and monic over F_p; `add` takes the lead its caller
+    already holds and raises `InternalError` on an element that breaks that
+    rule.  The index lists each lead exponent, with its element and lead
+    coefficient, under the lead's position.  `normal_form` and `contains`
+    take and return field vectors.
     """
 
     __slots__ = ("ctx", "elements", "leads", "_by_pos")
 
-    def __init__(self, ctx, elements=()):
+    def __init__(self, ctx, pairs=()):
         self.ctx = ctx
         self.elements = []
         self.leads = []
         self._by_pos = {}
-        for vec in elements:
-            self.add(vec)
+        for lead, vec in pairs:
+            self.add(lead, vec)
 
     @classmethod
     def generate(cls, rows, ctx):
         return cls(ctx, buchberger_module(rows, ctx))
 
-    def add(self, vec):
-        lead = vec_lead(vec, self.ctx)
-        if vec[lead] != 1:
-            raise InternalError(f"basis vector with lead coefficient {vec[lead]}, not 1")
+    def add(self, lead, vec):
+        lc = vec[lead]
+        if lc != 1:
+            if self.ctx.ring.field.characteristic:
+                raise InternalError(f"basis vector over F_p with lead coefficient {lc}, not 1")
+            if lc < 0 or gcd(*vec.values()) != 1:
+                raise InternalError(f"basis vector over Q with lead coefficient {lc}, "
+                                    "not primitive with a positive lead")
         self.elements.append(vec)
         self.leads.append(lead)
         pos, expt = lead
-        self._by_pos.setdefault(pos, []).append((expt, vec))
+        self._by_pos.setdefault(pos, []).append((expt, vec, lc))
 
     def find(self, key):
-        """(lead exponent, element) of the first element whose lead divides key."""
+        """(lead exponent, element, lead coefficient) of the first element whose
+        lead divides key."""
         pos, expt = key
-        for gexpt, gvec in self._by_pos.get(pos, ()):
-            if all(a <= b for a, b in zip(gexpt, expt)):
-                return gexpt, gvec
+        for hit in self._by_pos.get(pos, ()):
+            if all(map(le, hit[0], expt)):
+                return hit
         return None
 
     def normal_form(self, vec):
-        return normal_form_vec(vec, self)
+        """The normal form of a field vector, as a field vector."""
+        field = self.ctx.ring.field
+        ivec, den = _integral(vec, field.characteristic)
+        nf, scale = normal_form_vec(ivec, self)
+        return _field_vec(nf, den * scale, field)
 
     def contains(self, vec) -> bool:
-        return not self.normal_form(vec)
+        ivec, _ = _integral(vec, self.ctx.ring.field.characteristic)
+        return not normal_form_vec(ivec, self)[0]
 
 
 def normal_form_vec(vec, basis):
-    """Full normal form of vec against a `SubmoduleBasis`.
+    """Fraction-free full normal form of a plain int vector against a basis.
 
-    Pending terms stay sorted by `term_key` and the largest is taken from
-    the end; a term that cancelled is skipped when it comes up.  Reduction
-    only ever introduces strictly smaller terms, so settled output terms are
-    never revisited.
+    Returns (nf, scale): scale is a positive int, 1 over F_p, and
+    scale * vec - nf lies in the span, with no term of nf divisible by a
+    lead.  A term c*m meets an element with lead coefficient lc: the vector
+    is scaled by lc/g, g = gcd(c, lc), and c/g times the element is
+    subtracted, so nothing is divided.  Pending terms stay sorted by
+    `term_key` and the largest is taken from the end; a term that cancelled
+    is skipped when it comes up.  Reduction only ever introduces strictly
+    smaller terms, so settled output terms are never revisited, and nf lists
+    its terms largest first: its lead is its first key.
     """
-    field = basis.ctx.ring.field
+    p = basis.ctx.ring.field.characteristic
     term_key = basis.ctx.term_key
     find = basis.find
     work = dict(vec)
     out = {}
+    scale = 1
     pending = sorted((term_key(k), k) for k in work)
     while pending:
         _, key = pending.pop()
@@ -139,74 +210,86 @@ def normal_form_vec(vec, basis):
         if hit is None:
             out[key] = work.pop(key)
             continue
-        gexpt, gvec = hit
-        shift = tuple(a - b for a, b in zip(key[1], gexpt))
-        factor = field.neg(coeff)
-        plus_one = factor == 1
-        minus_one = factor == -1
+        gexpt, gvec, lc = hit
+        if lc != 1:
+            g = gcd(coeff, lc)
+            coeff //= g
+            m = lc // g
+            if m != 1:
+                scale *= m
+                for k in work:
+                    work[k] *= m
+                for k in out:
+                    out[k] *= m
+        shift = tuple(map(sub, key[1], gexpt))
+        neg = -coeff
         for (p2, e2), c2 in gvec.items():
-            k2 = (p2, tuple(a + b for a, b in zip(shift, e2)))
-            if plus_one:
-                val = c2
-            elif minus_one:
-                val = field.neg(c2)
-            else:
-                val = field.mul(factor, c2)
+            k2 = (p2, tuple(map(add, shift, e2)))
             cur = work.get(k2)
             if cur is None:
-                work[k2] = val
+                work[k2] = neg * c2 % p if p else neg * c2
                 insort(pending, (term_key(k2), k2))
             else:
-                s = field.add(cur, val)
-                if s == 0:
-                    del work[k2]
-                else:
+                s = (cur + neg * c2) % p if p else cur + neg * c2
+                if s:
                     work[k2] = s
-    return out
+                else:
+                    del work[k2]
+    return out, scale
 
 
-def _spair(v1, e1, v2, e2, field):
-    """x^(lcm-e1) v1 - x^(lcm-e2) v2 for monic v1, v2 with lead exponents e1, e2."""
-    lcm = tuple(max(a, b) for a, b in zip(e1, e2))
-    shift = tuple(a - b for a, b in zip(lcm, e1))
-    s = {(pos, tuple(a + b for a, b in zip(shift, e))): c for (pos, e), c in v1.items()}
-    shift = tuple(a - b for a, b in zip(lcm, e2))
+def _spair(v1, l1, v2, l2, p):
+    """b x^(lcm-e1) v1 - a x^(lcm-e2) v2 for basis elements v1, v2 with leads
+    l1, l2 of exponents e1, e2 and coefficients a*g, b*g, g their gcd."""
+    e1, e2 = l1[1], l2[1]
+    g = gcd(v1[l1], v2[l2])
+    m1, m2 = v2[l2] // g, v1[l1] // g
+    lcm = tuple(map(max, e1, e2))
+    shift = tuple(map(sub, lcm, e1))
+    s = {(pos, tuple(map(add, shift, e))): m1 * c for (pos, e), c in v1.items()}
+    shift = tuple(map(sub, lcm, e2))
     for (pos, e), c in v2.items():
-        k = (pos, tuple(a + b for a, b in zip(shift, e)))
-        d = field.sub(s.get(k, field.zero), c)
-        if d == 0:
-            s.pop(k, None)
-        else:
+        k = (pos, tuple(map(add, shift, e)))
+        d = s.get(k, 0) - m2 * c
+        if p:
+            d %= p
+        if d:
             s[k] = d
+        else:
+            s.pop(k, None)
     return s
 
 
 def buchberger_module(rows, ctx):
-    """Reduced Groebner basis of the submodule generated by the given vectors."""
-    basis = _complete((), rows, ctx)
-    return _reduce_basis(basis.elements, basis.leads, ctx)
+    """Reduced Groebner basis of the submodule generated by the given field
+    vectors, as a list of (lead, element) pairs."""
+    p = ctx.ring.field.characteristic
+    basis = _complete((), [_integral(row, p)[0] for row in rows], ctx)
+    return _reduce_basis(list(zip(basis.leads, basis.elements)), ctx)
 
 
 def _complete(known, rows, ctx):
     """A `SubmoduleBasis` of the span of known and rows; not reduced.
 
-    known must be a monic Groebner basis.  Its elements are kept as given,
-    ahead of the rows, no normal form is taken of them, and S-pairs are
-    formed only with later elements: a pair inside known reduces to zero
-    over known.  The rows are normal-formed in lead order and made monic.
+    known must be a Groebner basis, as (lead, element) pairs.  Its elements
+    are kept as given, ahead of the rows, no normal form is taken of them,
+    and S-pairs are formed only with later elements: a pair inside known
+    reduces to zero over known.  The rows, plain int vectors, are
+    normal-formed in lead order, and every element is appended with its
+    content divided out (over F_p: made monic).
     """
-    field = ctx.ring.field
+    p = ctx.ring.field.characteristic
     basis = SubmoduleBasis(ctx, known)
     elements, leads = basis.elements, basis.leads
     start = len(elements)
 
-    def append(vec):
-        inv = field.inv(vec[vec_lead(vec, ctx)])
-        basis.add({k: field.mul(inv, c) for k, c in vec.items()})
+    def append(nf):
+        lead = next(iter(nf))
+        basis.add(lead, _normalized(nf, nf[lead], p))
 
     seed = sorted((r for r in rows if r), key=lambda v: ctx.term_key(vec_lead(v, ctx)))
     for row in seed:
-        nf = normal_form_vec(row, basis)
+        nf, _ = normal_form_vec(row, basis)
         if nf:
             append(nf)
 
@@ -228,88 +311,92 @@ def _complete(known, rows, ctx):
         push_pairs(heap, i)
     while heap:
         _, i, j = heapq.heappop(heap)
-        s = _spair(elements[i], leads[i][1], elements[j], leads[j][1], field)
-        nf = normal_form_vec(s, basis)
+        nf, _ = normal_form_vec(_spair(elements[i], leads[i], elements[j], leads[j], p), basis)
         if nf:
             append(nf)
             push_pairs(heap, len(elements) - 1)
     return basis
 
 
-def _reduce_basis(elements, leads, ctx, others=()):
+def _reduce_basis(pairs, ctx, others=()):
     """Minimalize per position and tail-reduce into the unique reduced basis.
 
-    Only leads at the same position divide each other, so each position
-    keeps its own list of minimal leads; sorted by lead, a divisor comes
-    before its multiples, and the output keeps that order.  Tails are
-    reduced against the minimal elements together with `others`, the
-    reduced elements at the remaining positions of the same Groebner basis
-    (a caller that reads only some positions reduces only those).  A tail
-    term is never divisible by its own element's lead (the quotient would
-    make it larger), so no element is used in its own reduction.
+    pairs and others are (lead, element) pairs, and so is the result.  Only
+    leads at the same position divide each other, so each position keeps its
+    own list of minimal leads; sorted by lead, a divisor comes before its
+    multiples, and the output keeps that order.  Tails are reduced against
+    the minimal elements together with `others`, the reduced elements at the
+    remaining positions of the same Groebner basis (a caller that reads only
+    some positions reduces only those).  A tail term is never divisible by
+    its own element's lead (the quotient would make it larger), so no
+    element is used in its own reduction.  A reduced tail comes back scaled,
+    so the lead is scaled with it before the content is divided out.
     """
+    p = ctx.ring.field.characteristic
     kept = {}
     minimal = []
-    for lead, vec in sorted(zip(leads, elements), key=lambda t: ctx.term_key(t[0])):
+    for lead, vec in sorted(pairs, key=lambda t: ctx.term_key(t[0])):
         pos, expt = lead
         divisors = kept.setdefault(pos, [])
         if not any(all(a <= b for a, b in zip(d, expt)) for d in divisors):
             divisors.append(expt)
             minimal.append((lead, vec))
-    index = SubmoduleBasis(ctx, [vec for _, vec in minimal] + list(others))
-    one = ctx.ring.field.one
+    index = SubmoduleBasis(ctx, minimal + list(others))
     out = []
     for lead, vec in minimal:
         tail = dict(vec)
-        del tail[lead]
-        reduced = normal_form_vec(tail, index)
-        reduced[lead] = one
-        out.append(reduced)
+        lc = tail.pop(lead)
+        reduced, scale = normal_form_vec(tail, index)
+        reduced[lead] = lc * scale
+        out.append((lead, _normalized(reduced, lc * scale, p)))
     return out
 
 
 def _tagged_completion(ctx, known, tagged, tag_degrees):
-    """Complete known and each tagged[i] + t_i, with a tag block t below ctx.
+    """Complete known and each tagged row v_i + t_i, with a tag block t below ctx.
 
-    known must be a monic Groebner basis in ctx (possibly empty); its
-    elements are kept as given (`_complete`).  Returns (tags, rest,
-    tag_ctx): the reduced basis of the completed elements that lie in the
-    tag block, still in their tag positions, the other elements, neither
-    minimalized nor reduced, and the augmented context.  A tag-block element
-    sum_i a_i t_i records the relation sum_i a_i tagged[i] in the span of
-    known.  A tag-block element has every term in the tag block, where only
+    known must be a Groebner basis in ctx (possibly empty), as (lead, element)
+    pairs; its elements are kept as given (`_complete`).  tagged[i] is the
+    pair (d_i * v_i, d_i) of `_integral`, and the row completed is d_i times
+    v_i + t_i.  Returns (tags, rest, tag_ctx): the reduced basis of the
+    completed elements that lie in the tag block, still in their tag
+    positions, the other elements, neither minimalized nor reduced, both as
+    (lead, element) pairs, and the augmented context.  A tag-block element
+    sum_i a_i t_i records the relation sum_i a_i v_i in the span of known.
+    A tag-block element has every term in the tag block, where only
     tag-block leads divide, so its reduction needs no other element.
     """
     ncols = len(ctx.degrees)
     tag_ctx = FreeContext(ctx.ring, ctx.degrees + tuple(tag_degrees), block=ncols)
     zero_expt = (0,) * ctx.ring.nvars
     aug_rows = []
-    for i, vec in enumerate(tagged):
+    for i, (vec, den) in enumerate(tagged):
         row = dict(vec)
-        row[(ncols + i, zero_expt)] = ctx.ring.field.one
+        row[(ncols + i, zero_expt)] = den
         aug_rows.append(row)
     basis = _complete(known, aug_rows, tag_ctx)
-    tag_basis, tag_leads, rest = [], [], []
-    for vec, lead in zip(basis.elements, basis.leads):
-        if lead[0] >= ncols:
-            tag_basis.append(vec)
-            tag_leads.append(lead)
-        else:
-            rest.append(vec)
-    return _reduce_basis(tag_basis, tag_leads, tag_ctx), rest, tag_ctx
+    tags, rest = [], []
+    for pair in zip(basis.leads, basis.elements):
+        (tags if pair[0][0] >= ncols else rest).append(pair)
+    return _reduce_basis(tags, tag_ctx), rest, tag_ctx
 
 
 def syzygy_module(rows, degrees, ctx_cols):
     """Kernel of the map sending e_i to rows[i], plus a division-with-lift basis.
 
-    Returns (syzygies, lift) where syzygies is a list of coefficient vectors
-    over the row index (sparse {(i, expt): coeff}) generating all relations
-    sum_i a_i rows[i] = 0, and lift is a LiftBasis for expressing members of
-    the row span in terms of the rows.
+    Returns (syzygies, lift) where syzygies is a list of monic coefficient
+    vectors over the row index (sparse {(i, expt): coeff}) generating all
+    relations sum_i a_i rows[i] = 0, and lift is a LiftBasis for expressing
+    members of the row span in terms of the rows.
     """
-    tags, rest, aug_ctx = _tagged_completion(ctx_cols, (), rows, degrees)
+    field = ctx_cols.ring.field
+    tagged = [_integral(row, field.characteristic) for row in rows]
+    tags, rest, aug_ctx = _tagged_completion(ctx_cols, (), tagged, degrees)
     ncols = aug_ctx.block
-    syzygies = [{(pos - ncols, expt): c for (pos, expt), c in vec.items()} for vec in tags]
+    syzygies = []
+    for lead, vec in tags:
+        monic = _field_vec(vec, vec[lead], field)
+        syzygies.append({(pos - ncols, expt): c for (pos, expt), c in monic.items()})
     return syzygies, LiftBasis(aug_ctx, rest, tags)
 
 
@@ -317,40 +404,44 @@ class LiftBasis(SubmoduleBasis):
     """The non-tag part of a tagged completion; the tag block starts at ctx.block.
 
     Built from the non-tag elements as the completion left them, together
-    with the reduced tag block (`tags`, in tag positions).  The first
-    `divide` minimalizes the non-tag elements and reduces their tails
-    against both, into the reduced basis: the lifts it returns are read off
-    those tails, so they are the same however the basis was completed.
+    with the reduced tag block (`tags`, in tag positions), both as (lead,
+    element) pairs.  The first `divide` minimalizes the non-tag elements and
+    reduces their tails against both, into the reduced basis: the lifts it
+    returns are read off those tails, so they are the same however the basis
+    was completed.
     """
 
     __slots__ = ("_tags",)
 
-    def __init__(self, ctx, elements, tags=()):
-        super().__init__(ctx, elements)
+    def __init__(self, ctx, pairs, tags=()):
+        super().__init__(ctx, pairs)
         self._tags = tags
 
     def divide(self, vec):
         """vec = remainder + sum_i coeffs[i] * rows[i]; returns (remainder, coeffs).
 
-        Remainder and coeffs are sparse vectors; coeffs is keyed by row index.
-        Every span element leads in the leading block, so no lead divides a
-        tag term: the normal form reduces only leading-block terms, and the
-        tag terms it accumulates are minus the lift.
+        vec, remainder and coeffs are sparse field vectors; coeffs is keyed by
+        row index.  Every span element leads in the leading block, so no lead
+        divides a tag term: the normal form of d * vec, d its denominator,
+        reduces only leading-block terms and comes back scaled by s, and the
+        tag terms it accumulates are minus d * s times the lift.
         """
         if self._tags is not None:
-            reduced = _reduce_basis(self.elements, self.leads, self.ctx, self._tags)
+            reduced = _reduce_basis(list(zip(self.leads, self.elements)), self.ctx, self._tags)
             super().__init__(self.ctx, reduced)
             self._tags = None
         field = self.ctx.ring.field
+        ivec, den = _integral(vec, field.characteristic)
+        nf, scale = normal_form_vec(ivec, self)
         ncols = self.ctx.block
-        remainder = {}
-        coeffs = {}
-        for (pos, expt), c in self.normal_form(vec).items():
+        remainder, lift = {}, {}
+        for (pos, expt), c in nf.items():
             if pos < ncols:
                 remainder[(pos, expt)] = c
             else:
-                coeffs[(pos - ncols, expt)] = field.neg(c)
-        return remainder, coeffs
+                lift[(pos - ncols, expt)] = -c
+        scale *= den
+        return _field_vec(remainder, scale, field), _field_vec(lift, scale, field)
 
 
 # --- polynomials and ideals --------------------------------------------------
@@ -375,6 +466,11 @@ def vec_to_row(vec, ring):
 
 def vec_component(vec, pos, ring) -> Polynomial:
     return Polynomial(ring, {expt: c for (p, expt), c in vec.items() if p == pos})
+
+
+def _monic_component(lead, vec, pos, ring) -> Polynomial:
+    """The monic polynomial at one position of a basis element."""
+    return vec_component(_field_vec(vec, vec[lead], ring.field), pos, ring)
 
 
 _GB_CACHE = {}
@@ -412,16 +508,20 @@ class HomIdeal:
 
     def basis_polynomials(self):
         basis = self.groebner_basis()
-        return tuple(vec_component(v, 0, self.ring) for v in basis.elements)
+        return tuple(_monic_component(lead, vec, 0, self.ring)
+                     for lead, vec in zip(basis.leads, basis.elements))
 
-    def normal_form(self, f: Polynomial) -> Polynomial:
+    def _require_ring(self, f: Polynomial) -> None:
         if f.ring != self.ring:
             raise InputError("polynomial ring mismatch")
-        nf = self.groebner_basis().normal_form(poly_to_vec(f))
-        return vec_component(nf, 0, self.ring)
+
+    def normal_form(self, f: Polynomial) -> Polynomial:
+        self._require_ring(f)
+        return vec_component(self.groebner_basis().normal_form(poly_to_vec(f)), 0, self.ring)
 
     def contains_poly(self, f: Polynomial) -> bool:
-        return self.normal_form(f).is_zero()
+        self._require_ring(f)
+        return self.groebner_basis().contains(poly_to_vec(f))
 
     def contains_ideal(self, other: "HomIdeal") -> bool:
         if other.ring != self.ring:
@@ -449,8 +549,8 @@ def colon(pairs) -> HomIdeal:
     """The intersection of the colons (N_i : v_i) = {f | f * v_i in N_i}.
 
     Each pair is (basis, v): a `SubmoduleBasis` of N_i and a nonzero
-    homogeneous vector v_i in its context.  Copy i of each free module is
-    twisted by -deg v_i and the copies are stacked, so sum_i v_i^(i) has
+    homogeneous field vector v_i in its context.  Copy i of each free module
+    is twisted by -deg v_i and the copies are stacked, so sum_i v_i^(i) has
     degree 0; the stacked bases, one per copy, form a Groebner basis of the
     sum of the N_i^(i).  They are kept as given, no S-pair is formed between
     two of them, and the row sum_i v_i^(i) + t is completed together with
@@ -459,17 +559,19 @@ def colon(pairs) -> HomIdeal:
     in the tag block exactly when every f*v_i is in N_i, so the tag-block
     elements of the completed basis are f*t for f generating the colon
     (elimination; Eisenbud, Commutative Algebra, section 15.10).  Only that
-    block is reduced.
+    block is reduced, and its elements leave as monic generators.
     """
     ring = pairs[0][0].ctx.ring
     degrees, known, stacked = [], [], {}
     for basis, vec in pairs:
         offset, twist = len(degrees), basis.ctx.degree(vec)
         degrees += [d - twist for d in basis.ctx.degrees]
-        known += [{(offset + pos, e): c for (pos, e), c in v.items()} for v in basis.elements]
+        known += [((offset + pos, e), {(offset + q, x): c for (q, x), c in v.items()})
+                  for (pos, e), v in zip(basis.leads, basis.elements)]
         stacked.update(((offset + pos, e), c) for (pos, e), c in vec.items())
-    tags, _, _ = _tagged_completion(FreeContext(ring, degrees), known, [stacked], [0])
-    return HomIdeal(ring, [vec_component(v, len(degrees), ring) for v in tags])
+    tagged = [_integral(stacked, ring.field.characteristic)]
+    tags, _, _ = _tagged_completion(FreeContext(ring, degrees), known, tagged, [0])
+    return HomIdeal(ring, [_monic_component(lead, v, len(degrees), ring) for lead, v in tags])
 
 
 def ideal_quotient(ideal: HomIdeal, f: Polynomial) -> HomIdeal:

@@ -131,6 +131,32 @@ def membership_oracle(f, generators) -> bool:
     return span.contains(poly_vector(f))
 
 
+def normal_form_oracle(f, generators):
+    """The normal form of a homogeneous f modulo the ideal, by row reduction.
+
+    The degree-d part I_d of the ideal is spanned by the monomial multiples
+    of the generators.  Keyed by weighted grevlex, the fully reduced echelon
+    form of I_d has its pivots at exactly the leading monomials of I_d, so
+    reducing f against it leaves the one element of f + I_d that has no
+    leading monomial: the normal form against any Groebner basis.
+    """
+    ring = f.ring
+    if f.is_zero():
+        return f
+    degree = f.homogeneous_degree()
+    key = ring.monomial_key
+    span = ExactSpan(ring.field)
+    for g in generators:
+        gdeg = g.homogeneous_degree()
+        if gdeg is None or gdeg > degree:
+            continue
+        for m in ring.monomials_of_weight(degree - gdeg):
+            shifted = (tuple(a + b for a, b in zip(m, expt)) for expt in g.terms)
+            span.add({(key(e), e): c for e, c in zip(shifted, g.terms.values())})
+    rest = span.reduce({(key(e), e): c for e, c in f.terms.items()})
+    return ring.from_terms({e: c for (_, e), c in rest.items()})
+
+
 def module_degree_span(vectors, vector_degrees, ring, degree):
     """Span of all monomial multiples of the vectors landing in one degree."""
     span = ExactSpan(ring.field)

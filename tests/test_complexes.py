@@ -319,6 +319,21 @@ def test_random_builder_determinism(basics):
     assert len(presentations) == 25
 
 
+def test_random_homogeneous_falls_back_to_the_smallest_weight():
+    """With x of degree 8 no even degree <= 6 has a monomial, so the draw
+    has degree 8, the smallest variable weight, past max_degree; where an
+    allowed degree has monomials the bound holds."""
+    ring = GradedRing(Field(3), (("x", 8),))
+    for seed in range(6):
+        f = random_homogeneous(ring, random.Random(seed), max_degree=6)
+        assert not f.is_zero() and f.homogeneous_degree() == 8
+        g = random_homogeneous(ring, random.Random(seed), max_degree=9)
+        assert g.homogeneous_degree() == 8
+    ring = GradedRing(Field(3), (("x", 4), ("y", 6)))
+    for seed in range(6):
+        assert random_homogeneous(ring, random.Random(seed), max_degree=6).homogeneous_degree() <= 6
+
+
 def test_cohomology_cache_hits_equal_presentations(basics):
     ring, x, y, one = basics
     a = cone(central_action(x, one))

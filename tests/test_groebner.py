@@ -1,5 +1,6 @@
 import functools
 import random
+from fractions import Fraction
 import zlib
 from unittest import mock
 
@@ -8,6 +9,7 @@ import pytest
 from oracles import (
     membership_oracle,
     module_degree_span,
+    normal_form_oracle,
     syzygy_space_dimension,
     term_order_compare,
 )
@@ -111,17 +113,29 @@ def test_groebner_deterministic_and_cached(ring_q):
 
 @pytest.mark.parametrize("ring_name", ["ring_q", "ring_f5"])
 def test_basis_index_requires_monic_leads(ring_name, request):
-    """Reduction divides by no lead coefficient, so every indexed vector must be monic."""
+    """Reduction divides by no lead coefficient, so every indexed element is
+    normalized: primitive with a positive lead over Q, monic over F_p.  The
+    index refuses any other element, and a completion normalizes each one."""
     ring = request.getfixturevalue(ring_name)
     x, y = ring.variable("x"), ring.variable("y")
     ctx = FreeContext(ring, (0, 0))
+    lead, tail = (0, next(iter(x.terms))), (1, next(iter(y.terms)))
+    if ring.field.characteristic == 0:
+        bad = [{lead: 2, tail: 2}, {lead: 4, tail: 6}, {lead: -1, tail: 1}, {lead: -3, tail: 2}]
+        good = [{lead: 1, tail: -1}, {lead: 2, tail: 3}, {lead: 6, tail: -5}]
+    else:
+        bad = [{lead: 2, tail: 2}, {lead: 3, tail: 1}, {lead: 4, tail: 1}]
+        good = [{lead: 1, tail: 4}]
+    for vec in bad:
+        with pytest.raises(InternalError, match="lead coefficient"):
+            SubmoduleBasis(ctx, [(lead, vec)])
+        with pytest.raises(InternalError, match="lead coefficient"):
+            LiftBasis(FreeContext(ring, (0, 0), block=1), [(lead, vec)])
+    for vec in good:
+        assert SubmoduleBasis(ctx, [(lead, vec)]).elements == [vec]
     vec = poly_to_vec(x.scale(2), 0) | poly_to_vec(y.scale(2), 1)
-    with pytest.raises(InternalError, match="lead coefficient 2, not 1"):
-        SubmoduleBasis(ctx, [vec])
-    with pytest.raises(InternalError):
-        LiftBasis(FreeContext(ring, (0, 0), block=1), [vec])
     basis = SubmoduleBasis.generate([vec], ctx)
-    assert sorted(basis.elements[0].values()) == [1, 1]
+    assert basis.leads == [lead] and basis.elements == [{lead: 1, tail: 1}]
     assert basis.contains(vec)
 
 
@@ -368,3 +382,110 @@ def test_syzygy_module_kills_rows_exactly(ring_name, request):
         assert syzygies
         for syz in syzygies:
             assert syz and _combine(syz, rows, field) == {}
+
+
+def _add_vectors(first, second, field):
+    total = dict(first)
+    for key, c in second.items():
+        s = field.add(total.get(key, field.zero), c)
+        if s == 0:
+            total.pop(key, None)
+        else:
+            total[key] = s
+    return total
+
+
+@pytest.mark.parametrize("char, variables",
+                         [(0, (("x", 2), ("y", 2)))] + [r for r in REFEREE_RINGS if r[0] == 0])
+def test_integer_engine_is_exact_at_the_boundary(char, variables):
+    """Over Q the engine keeps primitive integer elements whose leads need not
+    be 1, and a reduction comes back scaled.  What leaves the engine is still
+    exact: `LiftBasis.divide` gives vec = remainder + sum_i coeffs[i] rows[i]
+    with the remainder the normal form over the span, `HomIdeal.normal_form`
+    agrees with the row-reduction oracle, and the basis polynomials are monic."""
+    ring = GradedRing(Field(char), variables)
+    field = ring.field
+    rng = random.Random(zlib.crc32(repr(variables).encode()))
+    x, y = ring.variable("x"), ring.variable("y")
+    half = ring.constant(Fraction(1, 2))
+    ideals = [[x.scale(2) + y.scale(3), (x * y).scale(6) - (y * y).scale(4)],
+              [(x * x).scale(Fraction(2, 3)) + (x * y).scale(5), (y * y).scale(6) - x * y],
+              [(x * x).scale(2) + y.scale(3), (x * x * y).scale(6) - (y * y).scale(4)]]
+    for _ in range(6):
+        ideals.append([random_homogeneous(ring, rng, max_degree=8) * half
+                       for _ in range(rng.randint(1, 3))])
+    unit_leads = other_leads = 0
+    for gens in ideals:
+        ideal = HomIdeal(ring, [g for g in gens if g.is_homogeneous()])
+        if ideal.is_zero():
+            continue
+        basis = ideal.groebner_basis()
+        for lead, vec in zip(basis.leads, basis.elements):
+            if vec[lead] == 1:
+                unit_leads += 1
+            else:
+                other_leads += 1
+        assert all(g.lead()[1] == 1 for g in ideal.basis_polynomials())
+        for _ in range(6):
+            f = random_homogeneous(ring, rng, max_degree=12).scale(Fraction(3, 7))
+            if rng.random() < 0.3:
+                f = f + ideal.generators[0] * random_homogeneous(ring, rng, max_degree=4)
+            if f.is_homogeneous():
+                assert ideal.normal_form(f) == normal_form_oracle(f, ideal.generators), str(f)
+    assert unit_leads and other_leads
+
+    ctx = FreeContext(ring, (0, 2))
+    divided = 0
+    for _ in range(6):
+        row_degrees = [rng.choice([2, 4, 6]) for _ in range(rng.randint(2, 4))]
+        rows = [_random_vector(ring, rng, (0, 2), d) for d in row_degrees]
+        rows = [{k: c * 3 for k, c in r.items()} for r in rows if r]
+        row_degrees = [d for d, r in zip(row_degrees, rows) if r]
+        _, lift = syzygy_module(rows, row_degrees, ctx)
+        span = SubmoduleBasis.generate(rows, ctx)
+        for degree in (6, 8):
+            vec = _random_vector(ring, rng, (0, 2), degree)
+            vec = {k: c * Fraction(5, 4) for k, c in vec.items()}
+            factors = [_random_form(ring, rng, degree - d) for d in row_degrees]
+            member = _combine(
+                {(i, e): c for i, f in enumerate(factors) for e, c in f.terms.items()},
+                rows, field)
+            for target in (vec, member, _add_vectors(vec, member, field)):
+                if not target:
+                    continue
+                remainder, coeffs = lift.divide(target)
+                assert remainder == span.normal_form(target)
+                assert _add_vectors(remainder, _combine(coeffs, rows, field), field) == target
+                divided += 1
+    assert divided >= 30
+
+
+@pytest.mark.parametrize("ring_name", ["ring_q", "ring_f5"])
+def test_engine_makes_no_field_calls(ring_name, request):
+    """Inside the engine coefficients are plain ints: a completion, the
+    syzygies, a lift and a colon run with every `Field` operation refusing."""
+    ring = request.getfixturevalue(ring_name)
+    x, y = ring.variable("x"), ring.variable("y")
+    gens = [x.scale(2) + y.scale(3), (x * y).scale(6) - (y * y).scale(4), (x * x * y).scale(3)]
+    rows = [poly_to_vec(g) for g in gens]
+    degrees = [g.homogeneous_degree() for g in gens]
+    module_rows = [poly_to_vec(x, 0) | poly_to_vec(y.scale(2), 1), poly_to_vec(x * y, 1)]
+    target = poly_to_vec(x * x.scale(3), 0) | poly_to_vec((x * y).scale(6), 1)
+
+    def refuse(*args):
+        raise AssertionError("Field operation inside the Groebner engine")
+
+    with mock.patch.multiple(Field, add=refuse, mul=refuse, neg=refuse, sub=refuse, inv=refuse):
+        ctx = FreeContext(ring, (0,))
+        assert len(groebner.buchberger_module(rows, ctx)) == 2
+        syzygies, lift = syzygy_module(rows, degrees, ctx)
+        assert syzygies and lift.divide(rows[2])[0] == {}
+        basis = SubmoduleBasis.generate(rows, ctx)
+        assert not colon([(basis, poly_to_vec(x))]).is_zero()
+        module_ctx = FreeContext(ring, (0, 2))
+        module = SubmoduleBasis.generate(module_rows, module_ctx)
+        assert module.contains(target)
+        _, lift = syzygy_module(module_rows, [2, 4], module_ctx)
+        assert lift.divide(target)[0] == {}
+        assert not colon([(module, poly_to_vec(ring.one(), 0)),
+                          (module, poly_to_vec(ring.one(), 1))]).is_zero()

@@ -2,6 +2,7 @@
 
 import pathlib
 import random
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -286,14 +287,15 @@ def test_pruned_presentation_referee(char, variables):
 
 def _colon_by_full_completion(rows, vec, ctx):
     """(span of rows : vec) from a completion of rows and vec + t that
-    normal-forms every row and forms every S-pair; the tag-block elements."""
+    normal-forms every row and forms every S-pair; the tag-block elements,
+    made monic (the engine keeps them primitive over Q)."""
     ring = ctx.ring
     ncols = len(ctx.degrees)
     tag_ctx = FreeContext(ring, ctx.degrees + (ctx.degree(vec),), block=ncols)
     tagged = dict(vec)
     tagged[(ncols, (0,) * ring.nvars)] = ring.field.one
     completed = buchberger_module(list(rows) + [tagged], tag_ctx)
-    return [vec_component(v, ncols, ring) for v in completed
+    return [vec_component(v, ncols, ring).scale(Fraction(1, v[lead])) for lead, v in completed
             if all(pos >= ncols for pos, _ in v)]
 
 
